@@ -6,8 +6,14 @@
 // and the resync overhead the fault campaign exercises. Single scan thread;
 // the workspace is reused across passes so the loop runs allocation-free.
 //
-// MIMONET_BENCH_PACKETS overrides the per-capture packet count (check.sh's
-// bench-smoke step uses a small value).
+// A length sweep scans the clean 1x1 MCS 7 stream at N, 4N and 16N packets
+// and reports flatness = Msamp/s at N / Msamp/s at 16N (best of the timed
+// passes each). A scan whose work is linear in capture length keeps it near
+// 1; the bench exits nonzero above kMaxFlatness (within 20% of flat).
+//
+// MIMONET_BENCH_PACKETS overrides N, the per-capture packet count (default
+// 32; check.sh's scan-smoke step uses a small value).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -29,6 +35,7 @@ namespace {
 
 constexpr std::size_t kPayloadBytes = 700;
 constexpr std::size_t kGapLen = 600;
+constexpr double kMaxFlatness = 1.25;
 
 struct Stream {
   core::PhyConfig phy;
@@ -114,6 +121,28 @@ Measurement run_case(const Stream& s, std::size_t passes) {
   return m;
 }
 
+/// Best single-pass scan rate of `s` in Msamp/s over `passes` timed passes
+/// (after a warm pass); `delivered` is the warm pass's delivered count.
+double best_msamp_s(const Stream& s, std::size_t passes, std::size_t& delivered) {
+  const core::StreamReceiver srx(s.phy, s.capture.size());
+  core::RxWorkspace ws;
+  std::vector<std::span<const cf32>> spans(s.capture.begin(), s.capture.end());
+  core::StreamStats warm;
+  srx.scan(spans, ws, warm, [](const core::StreamEvent&) {});
+  delivered = warm.delivered;
+
+  double best = 0.0;
+  for (std::size_t i = 0; i < passes; ++i) {
+    core::StreamStats stats;
+    const auto t0 = std::chrono::steady_clock::now();
+    srx.scan(spans, ws, stats, [](const core::StreamEvent&) {});
+    const double secs =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    best = std::max(best, static_cast<double>(stats.samples_scanned) / secs / 1e6);
+  }
+  return best;
+}
+
 struct Case {
   const char* name;
   unsigned mcs;
@@ -176,7 +205,40 @@ int main() {
   }
   cases_json += "]";
   report.raw("cases", cases_json);
+
+  // Length sweep: the same clean stream at N, 4N and 16N packets.
+  std::printf("\n");
+  const bench::Table sweep_table({"packets", "samples", "Msamp/s", "delivered"}, 14);
+  std::string sweep_json = "[";
+  double rate_n = 0.0;
+  double rate_16n = 0.0;
+  for (const std::size_t mult : {1, 4, 16}) {
+    const std::size_t n = mult * n_packets;
+    const Stream s = make_stream(7, n, false);
+    std::size_t delivered = 0;
+    const double rate = best_msamp_s(s, kPasses, delivered);
+    all_delivered = all_delivered && delivered == n;
+    if (mult == 1) rate_n = rate;
+    rate_16n = rate;
+    sweep_table.row({std::to_string(n), std::to_string(s.capture[0].size()),
+                     bench::fix(rate, 3),
+                     std::to_string(delivered) + "/" + std::to_string(n)});
+    if (mult != 1) sweep_json += ", ";
+    sweep_json += "{\"packets\": " + std::to_string(n) +
+                  ", \"samples\": " + std::to_string(s.capture[0].size()) +
+                  ", \"msamp_s\": " + bench::fix(rate, 4) + "}";
+  }
+  sweep_json += "]";
+  const double flatness = rate_n / rate_16n;
+  const bool flat = flatness <= kMaxFlatness;
+  bench::note("flatness (Msamp/s at %zu / at %zu packets) = %.3f, gate %.2f: %s",
+              n_packets, 16 * n_packets, flatness, kMaxFlatness,
+              flat ? "ok" : "FAILED");
+
+  report.raw("length_sweep", sweep_json);
+  report.field("flatness", flatness);
+  report.field("max_flatness", kMaxFlatness);
   report.field("all_packets_delivered", all_delivered);
   report.emit_merged();  // preserve E19's "farm" table if already present
-  return all_delivered ? 0 : 1;
+  return all_delivered && flat ? 0 : 1;
 }

@@ -8,7 +8,7 @@
 #   scripts/check.sh asan tsan  # any subset, in order
 #   scripts/check.sh bench-smoke  # hot-path bench on 4 packets + JSON schema + diff
 #   scripts/check.sh farm-smoke   # E19 receiver-farm bench + "farm" schema
-#   scripts/check.sh scan-smoke   # E20 scan bench + "scan" schema + regression diff
+#   scripts/check.sh scan-smoke   # E18 length sweep + E20 scan bench + schema + diff
 #   scripts/check.sh decode-smoke # E21 batched-decode bench + "decode" schema + diff
 #   scripts/check.sh mu-smoke     # E22 multi-user bench + "mu" schema + diff
 #   scripts/check.sh harq-smoke   # E23 HARQ/adaptation bench + "harq" schema + diff
@@ -126,20 +126,26 @@ EOF
   return "$rc"
 }
 
-# Front-end scan smoke: a few packets through bench_e20_scan (which asserts
-# the two-pass scan's records match the exhaustive scan and that the coarse
-# pass clears the 20 Msamp/s real-time bar), a schema check on the "scan"
-# table merged into BENCH_stream.json, then scripts/bench_diff.py against
-# the committed baseline — >20% scan-throughput regression fails the job.
+# Front-end scan smoke: the E18 length sweep at 8/32/128 packets (the bench
+# exits nonzero unless scan Msamp/s stays within 20% of flat — a receive
+# whose work grows with the capture tail fails here), then a few packets
+# through bench_e20_scan (which asserts the two-pass scan's records match
+# the exhaustive scan and that the coarse pass clears the 20 Msamp/s
+# real-time bar), a schema check on the sweep and the "scan" table merged
+# into BENCH_stream.json, then scripts/bench_diff.py against the committed
+# baseline — >20% scan-throughput regression fails the job.
 run_scan_smoke() {
   echo "==== [scan-smoke] build ===="
   cmake -B build -S . > build.configure.log 2>&1 || {
     cat build.configure.log; return 1; }
-  cmake --build build -j --target bench_e20_scan > build.build.log 2>&1 || {
-    tail -50 build.build.log; return 1; }
-  echo "==== [scan-smoke] run (4 packets) ===="
+  cmake --build build -j --target bench_e18_stream bench_e20_scan \
+    > build.build.log 2>&1 || { tail -50 build.build.log; return 1; }
   local tmp
   tmp="$(mktemp -d)"
+  echo "==== [scan-smoke] E18 length sweep (8/32/128 packets) ===="
+  MIMONET_BENCH_PACKETS=8 MIMONET_BENCH_JSON_DIR="$tmp" \
+    ./build/bench/bench_e18_stream || { rm -rf "$tmp"; return 1; }
+  echo "==== [scan-smoke] run (4 packets) ===="
   MIMONET_BENCH_PACKETS=4 MIMONET_BENCH_JSON_DIR="$tmp" \
     ./build/bench/bench_e20_scan || { rm -rf "$tmp"; return 1; }
   echo "==== [scan-smoke] validate BENCH_stream.json scan table ===="
@@ -163,7 +169,12 @@ for c in cases:
         assert key in c, f"missing scan case key: {key}"
     assert c["coarse_msamp_s"] > 0, "non-positive coarse rate"
     assert c["records_identical"] is True, "two-pass records diverged"
-print("BENCH_stream.json scan schema OK")
+sweep = d["length_sweep"]
+assert isinstance(sweep, list) and len(sweep) == 3, "want 3 sweep lengths"
+for r in sweep:
+    assert r["msamp_s"] > 0, "non-positive sweep rate"
+assert d["flatness"] <= d["max_flatness"], "scan rate not flat in capture length"
+print("BENCH_stream.json scan + length-sweep schema OK")
 EOF
   local rc=$?
   if [ "$rc" -ne 0 ]; then rm -rf "$tmp"; return "$rc"; fi

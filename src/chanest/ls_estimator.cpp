@@ -10,10 +10,14 @@ namespace mimonet::chanest {
 void MimoChannelEstimate::resize_zeroed(std::size_t nrx_in, std::size_t nss_in) {
   nrx = nrx_in;
   nss = nss_in;
-  h.resize(nrx);
-  for (auto& per_rx : h) {
-    per_rx.resize(nss);
-    for (auto& per_ss : per_rx) per_ss.assign(ofdm::kFftSize, cf32{0.0F, 0.0F});
+  // Grow only: shrinking would free the rows a later, larger estimate
+  // needs again.
+  if (h.size() < nrx) h.resize(nrx);
+  for (std::size_t r = 0; r < nrx; ++r) {
+    if (h[r].size() < nss) h[r].resize(nss);
+    for (std::size_t s = 0; s < nss; ++s) {
+      h[r][s].assign(ofdm::kFftSize, cf32{0.0F, 0.0F});
+    }
   }
 }
 

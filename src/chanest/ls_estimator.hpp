@@ -15,14 +15,17 @@ namespace mimonet::chanest {
 using dsp::cf32;
 
 /// Per-subcarrier MIMO channel estimate. h[rx][ss][bin] spans all 64 FFT
-/// bins; only occupied bins carry meaningful values.
+/// bins; only occupied bins carry meaningful values. The estimate is the
+/// first nrx x nss rows of h: a reused estimate keeps the rows of larger
+/// earlier ones, so read nrx and nss, never h's sizes.
 struct MimoChannelEstimate {
   std::size_t nrx = 0;
   std::size_t nss = 0;
   std::vector<std::vector<std::vector<cf32>>> h;
 
-  /// Resize to nrx x nss x 64 zeroed bins, reusing existing nested storage
-  /// (no temporaries, so a warm workspace stays allocation-free).
+  /// Set nrx x nss and zero those rows' 64 bins, reusing existing nested
+  /// storage and never shrinking it (so a warm workspace stays
+  /// allocation-free when the stream count changes).
   void resize_zeroed(std::size_t nrx_in, std::size_t nss_in);
 
   /// Channel matrix (nrx x nss) at one FFT bin, for the equalizer.

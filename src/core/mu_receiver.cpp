@@ -111,13 +111,13 @@ bool MuUplinkReceiver::receive(std::span<const std::span<const cf32>> capture,
   const std::size_t avail = capture[0].size() - start;
   if (avail < fl.total_samples()) return false;  // truncated capture
 
-  // CFO-corrected, packet-aligned copy (one shared oscillator assumption:
-  // the triggered uplink uses the BS reference, so one correction serves
-  // every user's stream).
+  // CFO-corrected, packet-aligned copy of exactly the announced frame (one
+  // shared oscillator assumption: the triggered uplink uses the BS
+  // reference, so one correction serves every user's stream).
   ws.rx.resize(nrx_);
   for (std::size_t a = 0; a < nrx_; ++a) {
-    const auto tail = capture[a].subspan(start);
-    ws.rx[a].assign(tail.begin(), tail.end());
+    const auto frame = capture[a].subspan(start, fl.total_samples());
+    ws.rx[a].assign(frame.begin(), frame.end());
     channel::apply_cfo(ws.rx[a], -sync_res->cfo_norm);
   }
 

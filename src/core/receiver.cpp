@@ -58,6 +58,14 @@ std::uint32_t recover_scrambler_seed(std::span<const std::uint8_t> first7) {
   return fec::kDefaultScramblerSeed;  // undecodable; any seed will fail FCS
 }
 
+/// Size a per-stream buffer list for `nss` streams without ever shrinking
+/// it: shrinking frees the inner buffers, so the next frame with more
+/// streams would allocate them again. Only the first nss entries are used.
+template <typename T>
+void grow_streams(std::vector<std::vector<T>>& v, std::size_t nss) {
+  if (v.size() < nss) v.resize(nss);
+}
+
 /// Reset a reused SnrEstimate without releasing its per-bin storage.
 void reset_snr(chanest::SnrEstimate& s) {
   s.snr_db = 0.0;
@@ -149,7 +157,9 @@ bool Receiver::receive(std::span<const std::span<const cf32>> capture,
   }
   pkt.sync = *sync_res;
 
-  // CFO-corrected, packet-aligned copy.
+  // CFO-corrected, packet-aligned copy of the preamble through HT-SIG. The
+  // rest of the frame is appended once HT-SIG has announced its extent, so
+  // a receive never copies or derotates the capture behind its frame.
   const std::size_t start = sync_res->packet_start;
   const std::size_t avail = capture[0].size() - start;
   FrameLayout probe;  // nss=1 layout: offsets through HT-STF are nss-free
@@ -158,11 +168,13 @@ bool Receiver::receive(std::span<const std::span<const cf32>> capture,
     return false;
   }
 
+  const std::size_t sig_end = probe.htstf_offset();
+  double cfo_phase = 0.0;  // derotation phase after the first sig_end samples
   ws.rx.resize(nrx_);
   for (std::size_t a = 0; a < nrx_; ++a) {
-    const auto tail = capture[a].subspan(start);
-    ws.rx[a].assign(tail.begin(), tail.end());
-    channel::apply_cfo(ws.rx[a], -sync_res->cfo_norm);
+    const auto head = capture[a].subspan(start, sig_end);
+    ws.rx[a].assign(head.begin(), head.end());
+    cfo_phase = channel::apply_cfo(ws.rx[a], -sync_res->cfo_norm);
   }
 
   const dsp::FftPlan& fft64 = ws.fft_cache.plan(ofdm::kFftSize);
@@ -252,6 +264,16 @@ bool Receiver::receive(std::span<const std::span<const cf32>> capture,
     return true;
   }
 
+  // Extend the aligned copy to the announced frame, continuing the
+  // derotation from the phase the preamble copy ended on: dsp::mix carries
+  // its phase accumulator, so this is bit-identical to one pass.
+  for (std::size_t a = 0; a < nrx_; ++a) {
+    const auto rest = capture[a].subspan(start + sig_end, fl.total_samples() - sig_end);
+    ws.rx[a].insert(ws.rx[a].end(), rest.begin(), rest.end());
+    channel::apply_cfo(std::span<cf32>(ws.rx[a]).subspan(sig_end),
+                       -sync_res->cfo_norm, cfo_phase);
+  }
+
   // ---- HT-LTF channel estimation. ----
   const std::size_t n_ltf = fl.n_ht_ltfs();
   ws.ltf_grids.resize(nrx_, n_ltf, ofdm::kFftSize);
@@ -330,10 +352,10 @@ bool Receiver::receive(std::span<const std::span<const cf32>> capture,
   const bool batched = cfg_.batched_decode && !stbc;
 
   if (!batched) {
-    ws.stream_llrs.resize(mcs.nss);
-    for (auto& v : ws.stream_llrs) {
-      v.clear();
-      v.reserve(fl.n_data_symbols * wifi::kHtDataCarriers * bps);
+    grow_streams(ws.stream_llrs, mcs.nss);
+    for (std::size_t s = 0; s < mcs.nss; ++s) {
+      ws.stream_llrs[s].clear();
+      ws.stream_llrs[s].reserve(fl.n_data_symbols * wifi::kHtDataCarriers * bps);
     }
     ws.data_grid.resize(nrx_, ofdm::kFftSize);
     ws.y.resize(nrx_);
@@ -428,11 +450,11 @@ bool Receiver::receive(std::span<const std::span<const cf32>> capture,
       ws.merged.clear();
       ws.merged.reserve(fl.n_data_symbols * block * mcs.nss);
     }
-    ws.eq_out.resize(mcs.nss);
-    ws.nv_out.resize(mcs.nss);
-    ws.chunk_llrs.resize(mcs.nss);
-    ws.chunk_deint.resize(mcs.nss);
-    ws.merge_views.resize(mcs.nss);
+    grow_streams(ws.eq_out, mcs.nss);
+    grow_streams(ws.nv_out, mcs.nss);
+    grow_streams(ws.chunk_llrs, mcs.nss);
+    grow_streams(ws.chunk_deint, mcs.nss);
+    ws.merge_views.resize(mcs.nss);  // spans: resizing never allocates once warm
     std::array<cf32, eq::CMatrix::kMaxDim> eq_syms{};
     std::array<float, eq::CMatrix::kMaxDim> eq_nvars{};
 
@@ -650,13 +672,15 @@ bool Receiver::receive(std::span<const std::span<const cf32>> capture,
   // batched pipeline already deinterleaved, merged, and (for BCC) fed the
   // streaming Viterbi chunk by chunk. ----
   if (!batched) {
-    ws.deinterleaved.resize(mcs.nss);
+    grow_streams(ws.deinterleaved, mcs.nss);
     for (std::size_t s = 0; s < mcs.nss; ++s) {
       const wifi::Interleaver& il =
           wifi::cached_interleaver(mcs.bits_per_subcarrier(), s, mcs.nss);
       il.deinterleave_into(ws.stream_llrs[s], ws.deinterleaved[s]);
     }
-    parser.merge_into(ws.deinterleaved, ws.merged);
+    parser.merge_into(
+        std::span<const std::vector<float>>(ws.deinterleaved).first(mcs.nss),
+        ws.merged);
   }
 
   // ---- HARQ chase combining: sum the retained prior attempts' LLRs into

@@ -115,7 +115,9 @@ class Receiver {
   /// true when a sync candidate was found and carried through the decode
   /// pipeline — including frames that then failed HT-SIG, truncation, or
   /// the FCS; false only when nothing synced. Delivery is ws.packet.fcs_ok,
-  /// and ws.packet.error classifies the outcome either way. Everything
+  /// and ws.packet.error classifies the outcome either way. The work is
+  /// proportional to the distance to the packet plus its frame, whatever
+  /// follows the frame in the capture. Everything
   /// above this — StreamReceiver's scan
   /// loop, the farm, ReceiveSession — is a wrapper over this call. (The
   /// PR 6 vector-overload shims completed their one-release deprecation

@@ -91,7 +91,9 @@ struct RxWorkspace {
   dsp::FftPlanCache fft_cache;           ///< size-keyed FFT plans
   sync::SyncScratch sync;                ///< frame-sync scratch
 
-  std::vector<std::vector<dsp::cf32>> rx;  ///< aligned, CFO-corrected capture
+  /// Aligned, CFO-corrected frame: the preamble through HT-SIG, then
+  /// extended to the HT-SIG-announced extent — never the capture beyond it.
+  std::vector<std::vector<dsp::cf32>> rx;
   std::vector<std::span<const dsp::cf32>> spans;  ///< span staging
   /// Staging for the vector->span receive adapter and the stream scan loop.
   std::vector<std::span<const dsp::cf32>> capture_spans;

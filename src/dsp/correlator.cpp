@@ -1,5 +1,6 @@
 #include "dsp/correlator.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -152,49 +153,63 @@ void fill_products(const cf32* x, std::size_t lag, std::size_t n_prod,
                   s.mag.data());
 }
 
-/// Shared sweep core over a contiguous sample array. `scale` maps output
-/// slots back to positions of the caller's original signal (1 for the
-/// full-rate sweep, the stride for decimated sweeps) — it only sizes the
-/// result vectors, the arithmetic is identical.
-void autocorr_core(const cf32* x, std::size_t len, std::size_t lag,
-                   std::size_t window, AutocorrResult& res) {
+/// The one sliding-sum loop every sweep runs through: output positions
+/// [res.sums.next, res.sums.next + count) of the sweep over x[0, len),
+/// written to result slots [0, count), with the sums carried in res.sums.
+///
+/// Element-wise conj products and magnitudes come first (vectorizable),
+/// for just the samples these positions touch — element-wise, so a chunk's
+/// values equal the whole span's. Then the sequential sliding sums: sum +=
+/// entering - leaving, the exact MovingSum ring-buffer recurrence, which
+/// yields the same bits as recomputing each term (same operands, same ops).
+/// Any split of a sweep into calls therefore performs the same operations
+/// in the same order as one call.
+void sweep(const cf32* x, std::size_t len, std::size_t lag, std::size_t window,
+           std::size_t count, AutocorrResult& res) {
+  auto& s = res.sums;
   const std::size_t n_out = len - lag - window + 1;
-  res.corr.resize(n_out);
-  res.pow_lead.resize(n_out);
-  res.pow_lag.resize(n_out);
-  res.metric.resize(n_out);
+  const std::size_t p0 = s.next;
+  res.corr.resize(count);
+  res.pow_lead.resize(count);
+  res.pow_lag.resize(count);
+  res.metric.resize(count);
+  if (count == 0) return;
 
-  // Element-wise conj products and magnitudes first (vectorizable), then
-  // the sequential sliding sums: sum += entering - leaving, the exact
-  // MovingSum ring-buffer recurrence, which yields the same bits as
-  // recomputing each term (same operands, same ops).
-  const std::size_t n_prod = n_out + window - 1;
-  fill_products(x, lag, n_prod, len, res.scratch);
+  // Local index i is position p0 + i: the positions' own products plus
+  // those entering their windows, clipped at the end of the sweep.
+  const std::size_t n_prod = std::min(count + window, len - lag - p0);
+  fill_products(x + p0, lag, n_prod, n_prod + lag, res.scratch);
   const double* pre = res.scratch.prod_re.data();
   const double* pim = res.scratch.prod_im.data();
   const double* mag = res.scratch.mag.data();
 
-  cf64 corr_sum{0.0, 0.0};
-  double pow_lead = 0.0;
-  double pow_lag = 0.0;
-  for (std::size_t k = 0; k < window; ++k) {
-    corr_sum += cf64{pre[k], pim[k]} - cf64{0.0, 0.0};
-    pow_lead += mag[k] - 0.0;
-    pow_lag += mag[k + lag] - 0.0;
+  if (p0 == 0) {
+    s.corr = cf64{0.0, 0.0};
+    s.pow_lead = 0.0;
+    s.pow_lag = 0.0;
+    for (std::size_t k = 0; k < window; ++k) {
+      s.corr += cf64{pre[k], pim[k]} - cf64{0.0, 0.0};
+      s.pow_lead += mag[k] - 0.0;
+      s.pow_lag += mag[k + lag] - 0.0;
+    }
   }
-  for (std::size_t n = 0;; ++n) {
+  cf64 corr_sum = s.corr;
+  double pow_lead = s.pow_lead;
+  double pow_lag = s.pow_lag;
+  for (std::size_t i = 0; i < count; ++i) {
     const cf64 c = corr_sum;
     const double pp = pow_lead * pow_lag;
-    res.corr[n] = cf32(static_cast<float>(c.real()), static_cast<float>(c.imag()));
-    res.pow_lead[n] = static_cast<float>(pow_lead);
-    res.pow_lag[n] = static_cast<float>(pow_lag);
-    res.metric[n] = (pp > 0.0) ? static_cast<float>(mag_sqr(c) / pp) : 0.0F;
-    if (n + 1 >= n_out) break;
-    const std::size_t k = n + window;  // next sample entering the window
-    corr_sum += cf64{pre[k], pim[k]} - cf64{pre[n], pim[n]};
-    pow_lead += mag[k] - mag[n];
-    pow_lag += mag[k + lag] - mag[n + lag];
+    res.corr[i] = cf32(static_cast<float>(c.real()), static_cast<float>(c.imag()));
+    res.pow_lead[i] = static_cast<float>(pow_lead);
+    res.pow_lag[i] = static_cast<float>(pow_lag);
+    res.metric[i] = (pp > 0.0) ? static_cast<float>(mag_sqr(c) / pp) : 0.0F;
+    if (p0 + i + 1 >= n_out) break;  // the sweep's last position
+    const std::size_t k = i + window;  // next sample entering the window
+    corr_sum += cf64{pre[k], pim[k]} - cf64{pre[i], pim[i]};
+    pow_lead += mag[k] - mag[i];
+    pow_lag += mag[k + lag] - mag[i + lag];
   }
+  s = {corr_sum, pow_lead, pow_lag, p0 + count};
 }
 
 void clear_result(AutocorrResult& res) {
@@ -217,16 +232,26 @@ bool autocorr_simd_active() noexcept {
 }
 }  // namespace detail
 
-void lag_autocorrelate_into(std::span<const cf32> x, std::size_t lag,
-                            std::size_t window, AutocorrResult& res) {
+std::size_t lag_autocorrelate_resume(std::span<const cf32> x, std::size_t lag,
+                                     std::size_t window, std::size_t max_out,
+                                     AutocorrResult& res) {
   if (lag == 0 || window == 0) {
     throw std::invalid_argument("lag_autocorrelate: lag and window must be > 0");
   }
   if (x.size() < lag + window) {
     clear_result(res);
-    return;
+    return 0;
   }
-  autocorr_core(x.data(), x.size(), lag, window, res);
+  const std::size_t n_out = x.size() - lag - window + 1;
+  const std::size_t count = std::min(max_out, n_out - std::min(res.sums.next, n_out));
+  sweep(x.data(), x.size(), lag, window, count, res);
+  return count;
+}
+
+void lag_autocorrelate_into(std::span<const cf32> x, std::size_t lag,
+                            std::size_t window, AutocorrResult& res) {
+  res.sums = {};
+  (void)lag_autocorrelate_resume(x, lag, window, x.size(), res);
 }
 
 void lag_autocorrelate_strided_into(std::span<const cf32> x, std::size_t lag,
@@ -257,13 +282,7 @@ void lag_autocorrelate_strided_into(std::span<const cf32> x, std::size_t lag,
   const std::size_t n_y = (x.size() + stride - 1) / stride;
   y.resize(n_y);
   for (std::size_t i = 0; i < n_y; ++i) y[i] = x[i * stride];
-  const std::size_t lag_d = lag / stride;
-  const std::size_t win_d = window / stride;
-  if (n_y < lag_d + win_d) {
-    clear_result(res);
-    return;
-  }
-  autocorr_core(y.data(), n_y, lag_d, win_d, res);
+  lag_autocorrelate_into(y, lag / stride, window / stride, res);
 }
 
 AutocorrResult lag_autocorrelate(std::span<const cf32> x, std::size_t lag,

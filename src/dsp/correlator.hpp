@@ -57,6 +57,16 @@ struct AutocorrResult {
   /// m_n = |c_n|^2 / (p_lead * p_lag), in [0, 1] by Cauchy-Schwarz.
   std::vector<float> metric;
 
+  /// Sliding sums carried between lag_autocorrelate_resume calls: the
+  /// window sums at output position `next` of the sweep. next == 0 is a
+  /// fresh sweep, whose sums are primed from its first window.
+  struct Sums {
+    cf64 corr{0.0, 0.0};
+    double pow_lead = 0.0;
+    double pow_lag = 0.0;
+    std::size_t next = 0;
+  } sums;
+
   /// Internal staging for the product kernel and the strided pack — kept
   /// here so a workspace-owned result sweeps without steady-state
   /// allocation. Contents are unspecified between calls.
@@ -81,6 +91,19 @@ struct AutocorrResult {
 /// in the same order.
 void lag_autocorrelate_into(std::span<const cf32> x, std::size_t lag,
                             std::size_t window, AutocorrResult& out);
+
+/// Resumable sweep: the next (at most `max_out`) output positions of the
+/// lag/window sweep of x, starting at position out.sums.next, written to
+/// out.corr/pow_lead/pow_lag/metric[0, count) while out.sums moves past
+/// them. Returns count, 0 once the sweep is exhausted. Every call of one
+/// sweep passes the same x, lag and window; `out.sums = {}` starts a new
+/// one. However a sweep is split into calls, each position's values are
+/// bit-identical to lag_autocorrelate_into's: both run the one sliding-sum
+/// loop, and only the element-wise products are computed per call. Scratch
+/// stays O(max_out + window + lag) whatever the length of x.
+std::size_t lag_autocorrelate_resume(std::span<const cf32> x, std::size_t lag,
+                                     std::size_t window, std::size_t max_out,
+                                     AutocorrResult& out);
 
 /// Decimated sweep: output positions n = 0, stride, 2*stride, ... of x, each
 /// correlating only every stride-th sample inside the window — out index i

@@ -10,10 +10,9 @@ namespace mimonet::sync {
 
 namespace {
 
-// Full-rate positions processed per chunk in the candidate-region sweep,
-// and decimated positions per chunk in the streaming coarse pass. Chunking
-// bounds the per-call scratch to O(chunk) regardless of span length.
-constexpr std::size_t kFullChunk = 1024;
+// Decimated positions per chunk in the streaming coarse pass (the full-rate
+// chunk is PacketDetector::kFullChunk). Chunking bounds the per-call
+// scratch to O(chunk) regardless of span length.
 constexpr std::size_t kCoarseChunk = 512;
 
 /// Antenna-combined sliding statistic at one position: coherent correlation
@@ -170,17 +169,22 @@ std::optional<Detection> PacketDetector::detect_mimo(
   if (len < cfg_.lag + cfg_.window) return std::nullopt;
 
   // Per-antenna sliding sums, combined coherently (correlations add in
-  // phase because all antennas see the same CFO-induced rotation).
+  // phase because all antennas see the same CFO-induced rotation), resumed
+  // chunk by chunk until the first qualifying plateau.
   scratch.resize(rx_antennas.size());
-  auto& per_ant = scratch;
-  for (std::size_t a = 0; a < rx_antennas.size(); ++a) {
-    dsp::lag_autocorrelate_into(rx_antennas[a], cfg_.lag, cfg_.window, per_ant[a]);
-  }
-  const std::size_t n_pos = per_ant[0].metric.size();
-
+  for (auto& ant : scratch) ant.sums = {};
   PlateauScanner scanner(cfg_.threshold, cfg_.min_plateau, cfg_.lag);
-  for (std::size_t i = 0; i < n_pos; ++i) {
-    if (auto det = scanner.push(i, combine(per_ant, i))) return det;
+  for (std::size_t pos = 0;;) {
+    std::size_t n_chunk = 0;
+    for (std::size_t a = 0; a < rx_antennas.size(); ++a) {
+      n_chunk = dsp::lag_autocorrelate_resume(rx_antennas[a], cfg_.lag,
+                                              cfg_.window, kFullChunk, scratch[a]);
+    }
+    if (n_chunk == 0) break;
+    for (std::size_t i = 0; i < n_chunk; ++i) {
+      if (auto det = scanner.push(pos + i, combine(scratch, i))) return det;
+    }
+    pos += n_chunk;
   }
   return scanner.flush();
 }

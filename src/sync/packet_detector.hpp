@@ -5,7 +5,8 @@
 //
 // Two scan strategies share one plateau scanner:
 //  - exhaustive: full-rate sliding metric at every sample position (the
-//    reference behavior, and the default);
+//    reference behavior, and the default), swept in chunks up to the first
+//    qualifying plateau;
 //  - two-pass: a decimated coarse sweep (1/D of the work) flags candidate
 //    regions, and the full-rate metric runs only inside those regions plus
 //    safety margins. The coarse threshold is deliberately loose, so the
@@ -79,6 +80,11 @@ struct Detection {
 /// Sliding autocorrelation detector over one or more antennas.
 class PacketDetector {
  public:
+  /// Full-rate positions swept per chunk, by the exhaustive scan and inside
+  /// two-pass candidate regions: detector scratch stays O(kFullChunk)
+  /// whatever the span length.
+  static constexpr std::size_t kFullChunk = 1024;
+
   explicit PacketDetector(DetectorConfig cfg, ScanMode scan = {});
 
   [[nodiscard]] const DetectorConfig& config() const noexcept { return cfg_; }
@@ -103,7 +109,11 @@ class PacketDetector {
       DetectScratch& scratch) const;
 
   /// Exhaustive full-rate scan regardless of ScanMode — the reference the
-  /// two-pass mode is equivalence-tested against.
+  /// two-pass mode is equivalence-tested against. It sweeps kFullChunk
+  /// positions at a time with the sliding sums carried across chunks (so
+  /// every metric is bit-identical to one whole-span sweep) and returns at
+  /// the first qualifying plateau: work and scratch follow the distance to
+  /// the packet, not the length of the span behind it.
   [[nodiscard]] std::optional<Detection> detect_mimo(
       std::span<const std::span<const cf32>> rx_antennas,
       std::vector<dsp::AutocorrResult>& scratch) const;

@@ -157,6 +157,82 @@ TEST(AllocFree, PerSymbolReferencePath) {
                             "1x1 MCS7 ZF per-symbol", /*batched=*/false});
 }
 
+/// 2-RX capture of `frames` PPDUs cycling through `mcs`, 500-sample gaps; a
+/// 1-stream frame goes out on TX antenna 0 with antenna 1 silent.
+std::vector<std::vector<dsp::cf32>> make_mixed_capture(
+    std::span<const unsigned> mcs, std::size_t frames) {
+  std::vector<std::vector<dsp::cf32>> chains(2);
+  for (std::size_t p = 0; p < frames; ++p) {
+    core::PhyConfig phy;
+    phy.mcs = mcs[p % mcs.size()];
+    const auto ppdu = core::Transmitter(phy).transmit(wifi::build_psdu(
+        wifi::MacHeader{}, std::vector<std::uint8_t>(300, 0x5A)));
+    for (std::size_t a = 0; a < 2; ++a) {
+      if (a < ppdu.size()) {
+        chains[a].insert(chains[a].end(), ppdu[a].begin(), ppdu[a].end());
+      } else {
+        chains[a].resize(chains[a].size() + ppdu[0].size());
+      }
+      chains[a].resize(chains[a].size() + 500);
+    }
+  }
+  channel::ChannelConfig ccfg;
+  ccfg.ntx = 2;
+  ccfg.nrx = 2;
+  ccfg.snr_db = 30.0;
+  ccfg.timing_pad = 200;
+  ccfg.tail_pad = 80;
+  ccfg.seed = 98;
+  channel::MimoChannel chan(ccfg);
+  return chan.transmit(chains);
+}
+
+// Alternating 1- and 2-stream frames through one warm workspace: the
+// per-stream buffers and channel-estimate rows of a 2-stream frame must
+// survive the 1-stream frame between them, or every stream-count change
+// allocates again.
+TEST(AllocFree, AlternatingStreamCountsSteadyState) {
+  constexpr std::array<unsigned, 2> kMcs{7, 15};
+  core::PhyConfig phy;
+  const core::Receiver rx(phy, 2);
+  std::array<std::vector<std::vector<dsp::cf32>>, 2> captures;
+  std::array<std::vector<std::span<const dsp::cf32>>, 2> spans;
+  for (std::size_t i = 0; i < 2; ++i) {
+    captures[i] = make_mixed_capture(std::span<const unsigned>(kMcs).subspan(i, 1), 1);
+    spans[i].assign(captures[i].begin(), captures[i].end());
+  }
+
+  core::RxWorkspace ws;
+  for (const auto& s : spans) {
+    ASSERT_TRUE(rx.receive(s, ws));
+    ASSERT_TRUE(ws.packet.fcs_ok);
+  }
+  {
+    const AllocGuard guard;
+    for (int i = 0; i < 4; ++i) {
+      for (const auto& s : spans) ASSERT_TRUE(rx.receive(s, ws));
+    }
+    EXPECT_EQ(AllocGuard::count(), 0U)
+        << "Receiver::receive allocated on a stream-count change";
+  }
+
+  const auto capture = make_mixed_capture(kMcs, 4);
+  const std::vector<std::span<const dsp::cf32>> cap(capture.begin(), capture.end());
+  const core::StreamReceiver srx(phy, 2);
+  core::StreamStats warm;
+  const auto on_event = [](const core::StreamEvent&) {};
+  srx.scan(cap, ws, warm, on_event);
+  ASSERT_EQ(warm.delivered, 4U);
+  {
+    const AllocGuard guard;
+    core::StreamStats stats;
+    for (int i = 0; i < 4; ++i) srx.scan(cap, ws, stats, on_event);
+    EXPECT_EQ(AllocGuard::count(), 0U)
+        << "StreamReceiver::scan allocated on a stream-count change";
+    EXPECT_EQ(stats.delivered, 16U);
+  }
+}
+
 // The two-pass decimated scan must keep the allocation-free steady state:
 // its coarse/full-rate chunk scratch lives in the workspace's DetectScratch
 // and is re-sized (capacity kept) per chunk, never re-allocated once warm.

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <random>
+#include <string>
 
 #include "dsp/correlator.hpp"
 #include "dsp/fir.hpp"
@@ -232,6 +233,44 @@ TEST(LagAutocorrelate, SimdAndScalarPathsAreBitIdentical) {
     ASSERT_EQ(simd.pow_lag[i], scalar.pow_lag[i]) << "pow_lag at " << i;
     ASSERT_EQ(simd.metric[i], scalar.metric[i]) << "metric at " << i;
   }
+}
+
+TEST(LagAutocorrelate, ResumedChunksMatchWholeSpanBitExact) {
+  // Random lengths split into random chunks, on the runtime-dispatched
+  // kernel and on the forced-scalar one: every position of the resumed
+  // sweep must carry the whole-span sweep's exact bits.
+  std::mt19937 rng(61);
+  for (const bool scalar : {false, true}) {
+    detail::force_scalar_autocorr(scalar);
+    for (unsigned trial = 0; trial < 24; ++trial) {
+      SCOPED_TRACE((scalar ? "scalar trial " : "dispatch trial ") +
+                   std::to_string(trial));
+      const std::size_t len = std::uniform_int_distribution<std::size_t>(40, 4000)(rng);
+      auto x = random_signal(len, 100 + trial);
+      for (std::size_t i = len / 3; i < len / 2; ++i) {
+        x[i] += phasor(2.0F * pi_f * static_cast<float>(i % 16) / 16.0F);
+      }
+      AutocorrResult whole;
+      lag_autocorrelate_into(x, 16, 48, whole);
+
+      AutocorrResult chunked;
+      std::uniform_int_distribution<std::size_t> split(1, 700);
+      std::size_t pos = 0;
+      while (const std::size_t n =
+                 lag_autocorrelate_resume(x, 16, 48, split(rng), chunked)) {
+        ASSERT_LE(pos + n, whole.metric.size());
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(chunked.corr[i], whole.corr[pos + i]) << "corr at " << pos + i;
+          ASSERT_EQ(chunked.pow_lead[i], whole.pow_lead[pos + i]) << pos + i;
+          ASSERT_EQ(chunked.pow_lag[i], whole.pow_lag[pos + i]) << pos + i;
+          ASSERT_EQ(chunked.metric[i], whole.metric[pos + i]) << pos + i;
+        }
+        pos += n;
+      }
+      EXPECT_EQ(pos, whole.metric.size());
+    }
+  }
+  detail::force_scalar_autocorr(false);
 }
 
 TEST(LagAutocorrelateStrided, StrideOneMatchesFullRate) {

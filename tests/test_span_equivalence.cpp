@@ -109,9 +109,10 @@ void expect_packets_identical(const core::RxPacket& a, const core::RxPacket& b) 
   }
   ASSERT_EQ(a.channel.nrx, b.channel.nrx);
   ASSERT_EQ(a.channel.nss, b.channel.nss);
-  ASSERT_EQ(a.channel.h.size(), b.channel.h.size());
-  for (std::size_t i = 0; i < a.channel.h.size(); ++i) {
-    EXPECT_EQ(a.channel.h[i], b.channel.h[i]) << "h " << i;
+  for (std::size_t r = 0; r < a.channel.nrx; ++r) {
+    for (std::size_t s = 0; s < a.channel.nss; ++s) {
+      EXPECT_EQ(a.channel.h[r][s], b.channel.h[r][s]) << "h " << r << "," << s;
+    }
   }
 }
 

@@ -409,6 +409,42 @@ TEST(PacketDetector, PlateauReachingEndOfDataStillReports) {
   EXPECT_NEAR(static_cast<double>(d->start), 600.0, 40.0);
 }
 
+TEST(PacketDetector, ExhaustiveScanWorkEndsAtFirstPlateau) {
+  // The exhaustive sweep runs in chunks and returns at the first qualifying
+  // plateau, so a ~1M-sample noise tail behind the packet changes neither
+  // the detection nor the scratch the detector needed for it.
+  const auto stf = wifi::make_lstf(0, 1);
+  std::vector<cf32> sig;
+  for (int i = 0; i < 2; ++i) sig.insert(sig.end(), stf.begin(), stf.end());
+  channel::apply_cfo(sig, 1e-3);
+  const double nv = dsp::from_db(-20.0);
+  const auto short_tail = channel::pad_with_noise(sig, 3000, 1000, nv, 64);
+  auto long_tail = short_tail;
+  long_tail.resize(short_tail.size() + (std::size_t{1} << 20));
+  dsp::ComplexGaussian noise(65, nv);
+  noise.fill(std::span<cf32>(long_tail).subspan(short_tail.size()));
+
+  const sync::PacketDetector det(sync::DetectorConfig{});
+  const auto detect = [&det](const std::vector<cf32>& rx) {
+    std::vector<dsp::AutocorrResult> scratch;
+    const std::span<const cf32> one[] = {std::span<const cf32>(rx)};
+    const auto d = det.detect_mimo(one, scratch);
+    constexpr std::size_t kBound = 2 * sync::PacketDetector::kFullChunk;
+    EXPECT_LE(scratch[0].corr.capacity(), kBound);
+    EXPECT_LE(scratch[0].metric.capacity(), kBound);
+    EXPECT_LE(scratch[0].scratch.prod_re.capacity(), kBound);
+    EXPECT_LE(scratch[0].scratch.mag.capacity(), kBound);
+    return d;
+  };
+  const auto ref = detect(short_tail);
+  ASSERT_TRUE(ref.has_value());
+  const auto got = detect(long_tail);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->start, ref->start);
+  EXPECT_EQ(got->cfo_norm, ref->cfo_norm);
+  EXPECT_EQ(got->peak_metric, ref->peak_metric);
+}
+
 // ---- Two-pass decimated scan (ISSUE 7 tentpole, detector level). ----
 
 TEST(PacketDetector, ScanModeValidation) {
