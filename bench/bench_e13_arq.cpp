@@ -1,6 +1,8 @@
 // E13 — MAC-level ARQ (Table reconstruction): what stop-and-wait
 // retransmission buys at the network level, the layer the paper's MIMONet
 // platform targets ("network-level exploitation of MIMO technology").
+// Stop-and-wait is SelectiveRepeatLink with a window of one and no rate
+// adaptation.
 //
 // Expected shape: raw PHY loss grows as SNR drops; ARQ holds residual loss
 // near zero down to several dB below the PHY cliff, paying with goodput
@@ -24,30 +26,34 @@ struct Row {
 
 Row run_point(double snr, unsigned max_retries, std::size_t msdus,
               std::uint64_t seed) {
-  mac::ArqConfig cfg;
-  cfg.data_phy.mcs = 11;  // 16-QAM 1/2, 2 streams
-  cfg.ack_phy.mcs = 0;
-  cfg.forward.ntx = 2;
-  cfg.forward.nrx = 2;
-  cfg.forward.fading = true;
-  cfg.forward.snr_db = snr;
-  cfg.forward.timing_pad = 300;
-  cfg.forward.tail_pad = 80;
-  cfg.forward.seed = seed;
-  cfg.reverse.snr_db = snr;
-  cfg.reverse.fading = true;
-  cfg.reverse.timing_pad = 300;
-  cfg.reverse.tail_pad = 80;
-  cfg.reverse.seed = seed + 1;
-  cfg.max_retries = max_retries;
+  mac::SrConfig cfg;
+  cfg.window = 1;
+  cfg.adapt.fallback_after = 0;  // hold MCS 11
+  cfg.adapt.recover_after = 0;
+  cfg.arq.data_phy.mcs = 11;  // 16-QAM 1/2, 2 streams
+  cfg.arq.ack_phy.mcs = 0;
+  cfg.arq.forward.ntx = 2;
+  cfg.arq.forward.nrx = 2;
+  cfg.arq.forward.fading = true;
+  cfg.arq.forward.snr_db = snr;
+  cfg.arq.forward.timing_pad = 300;
+  cfg.arq.forward.tail_pad = 80;
+  cfg.arq.forward.seed = seed;
+  cfg.arq.reverse.snr_db = snr;
+  cfg.arq.reverse.fading = true;
+  cfg.arq.reverse.timing_pad = 300;
+  cfg.arq.reverse.tail_pad = 80;
+  cfg.arq.reverse.seed = seed + 1;
+  cfg.arq.max_retries = max_retries;
 
-  mac::StopAndWaitLink link(cfg);
-  std::size_t first_try_fail = 0;
+  mac::SelectiveRepeatLink link(cfg);
   for (std::size_t i = 0; i < msdus; ++i) {
-    const auto rep = link.send(std::vector<std::uint8_t>(1000, 0x42));
-    if (rep.transmissions > 1 || !rep.delivered) ++first_try_fail;
+    link.queue(std::vector<std::uint8_t>(1000, 0x42));
   }
-  const auto& st = link.stats();
+  const auto& st = link.run();
+  // With retries allowed, attempts_hist[1] counts exactly the frames ACKed
+  // on their first transmission.
+  const std::size_t first_try_fail = msdus - st.attempts_hist[1];
   return Row{
       .per_raw = static_cast<double>(first_try_fail) / static_cast<double>(msdus),
       .loss_arq = st.loss_rate(),

@@ -116,8 +116,8 @@ Row run_snr_point(double snr_db, Policy p, std::size_t msdus) {
   cfg.arq.reverse.seed = 2301;
   cfg.arq.seed = 2300;
   cfg.arq.max_retries = 6;
-  cfg.fallback_after = 0;
-  cfg.recover_after = 0;
+  cfg.adapt.fallback_after = 0;
+  cfg.adapt.recover_after = 0;
   apply_policy(cfg, p);
   mac::SelectiveRepeatLink link(cfg);
   for (std::size_t i = 0; i < msdus; ++i) {

@@ -55,8 +55,8 @@ int main() {
     cfg.seed = 77;
     core::LinkSimulator sim(cfg);
     chanest::SnrEstimate snapshot;
-    (void)sim.run(1, [&](const core::RxPacket& pkt, const auto&) {
-      snapshot = pkt.snr;
+    (void)sim.run(core::RunOptions{.n_packets = 1}, [&](const core::PacketOutcome& o) {
+      if (o.detected) snapshot = o.rx.snr;
     });
     std::printf("  bin: ");
     for (int k = -26; k <= 26; k += 4) {

@@ -46,10 +46,12 @@ unsigned send_reliably(unsigned mcs, double snr, std::uint64_t seed, Tally& tall
                                 .payload_bytes(1200)
                                 .seed(seed * 16 + attempt));
     bool got = false;
-    const auto res = sim.run(1, [&](const core::RxPacket& pkt, const auto&) {
+    const auto on_packet = [&](const core::PacketOutcome& o) {
+      if (!o.detected) return;
       got = true;
-      if (est_snr_out != nullptr) *est_snr_out = pkt.snr.snr_db;
-    });
+      if (est_snr_out != nullptr) *est_snr_out = o.rx.snr.snr_db;
+    };
+    const auto res = sim.run(core::RunOptions{.n_packets = 1}, on_packet);
     tally.airtime_us += res.throughput.airtime_us();
     if (res.per.failures() == 0 && got) {
       tally.delivered_bits += 1200 * 8;

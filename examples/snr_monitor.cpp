@@ -21,9 +21,10 @@ int main() {
     cfg.seed = 400 + static_cast<std::uint64_t>(step);
     core::LinkSimulator sim(cfg);
     bool printed = false;
-    (void)sim.run(1, [&](const core::RxPacket& pkt, const auto&) {
-      std::printf("%8.1f %10.1f %10.1f %10s\n", snr, pkt.snr.snr_db,
-                  pkt.pilot_snr.snr_db, pkt.fcs_ok ? "ok" : "FAIL");
+    (void)sim.run(core::RunOptions{.n_packets = 1}, [&](const core::PacketOutcome& o) {
+      if (!o.detected) return;
+      std::printf("%8.1f %10.1f %10.1f %10s\n", snr, o.rx.snr.snr_db,
+                  o.rx.pilot_snr.snr_db, o.rx.fcs_ok ? "ok" : "FAIL");
       printed = true;
     });
     if (!printed) std::printf("%8.1f %10s %10s %10s\n", snr, "-", "-", "lost");
@@ -36,7 +37,9 @@ int main() {
   cfg.channel.profile = channel::DelayProfile::kLong;
   cfg.seed = 99;
   core::LinkSimulator sim(cfg);
-  (void)sim.run(1, [&](const core::RxPacket& pkt, const auto&) {
+  (void)sim.run(core::RunOptions{.n_packets = 1}, [&](const core::PacketOutcome& o) {
+    if (!o.detected) return;
+    const core::RxPacket& pkt = o.rx;
     for (int k = -26; k <= 26; k += 2) {
       if (k == 0) continue;
       const auto bin = ofdm::SubcarrierMap::logical_to_bin(k);

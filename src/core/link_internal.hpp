@@ -1,8 +1,7 @@
 // Internal sharing surface between LinkSimulator and MuLinkSimulator: the
-// per-packet seeding discipline and the single-user packet simulation.
-// MuLinkSimulator's N_users = 1 path calls simulate_packet verbatim — the
-// same function the single-user engine runs — which is what makes the
-// "MU collapses to SU" pin a structural identity rather than a tolerance.
+// per-packet seeding discipline and the per-packet accounting. (The
+// one-user MU downlink runs LinkSimulator itself, which is what makes the
+// "MU collapses to SU" pin a structural identity rather than a tolerance.)
 // Not part of the public API; include from core/ .cpp files only.
 #pragma once
 
@@ -25,23 +24,6 @@ inline constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
 /// varies fading/noise draws too (channel.seed can still be pinned
 /// explicitly relative to it for common-random-number comparisons).
 [[nodiscard]] channel::ChannelConfig seeded_channel(const LinkConfig& cfg);
-
-/// One packet's contribution: the mergeable partial result plus the
-/// observer payload.
-struct PacketWork {
-  LinkResult partial;
-  PacketOutcome outcome;
-};
-
-/// @param want_rx copy the decoded RxPacket into the outcome (needed only
-///        when an observer consumes it — skipping the copy keeps the
-///        no-observer hot path free of per-packet RxPacket duplication).
-[[nodiscard]] PacketWork simulate_packet(const LinkConfig& cfg,
-                                         const Transmitter& tx,
-                                         channel::MimoChannel& chan,
-                                         const Receiver& rx, std::size_t p,
-                                         TxWorkspace& tws, RxWorkspace& rws,
-                                         bool want_rx);
 
 /// Fold one receive attempt into a LinkResult: the PER/BER/throughput/
 /// estimator accounting both engines share. `rws.packet` must hold the

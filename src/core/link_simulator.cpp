@@ -1,13 +1,7 @@
 #include "core/link_simulator.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <exception>
-#include <memory>
-#include <mutex>
-#include <thread>
 
 #include "core/bounded_queue.hpp"
 #include "core/link_internal.hpp"
@@ -28,50 +22,6 @@ channel::ChannelConfig seeded_channel(const LinkConfig& cfg) {
   auto ch = cfg.channel;
   ch.seed = ch.seed * kGolden + cfg.seed;
   return ch;
-}
-
-PacketWork simulate_packet(const LinkConfig& cfg, const Transmitter& tx,
-                           channel::MimoChannel& chan, const Receiver& rx,
-                           std::size_t p, TxWorkspace& tws, RxWorkspace& rws,
-                           bool want_rx) {
-  const std::uint64_t pkt_seed = packet_seed(cfg.seed, p);
-  // Restart the channel's random sources for this packet; offsetting by the
-  // channel's own seed keeps common-random-number comparisons working.
-  chan.reseed(cfg.channel.seed * kGolden + pkt_seed);
-
-  wifi::MacHeader hdr;
-  hdr.addr1 = {0x02, 0x11, 0x22, 0x33, 0x44, 0x55};
-  hdr.addr2 = {0x02, 0xAA, 0xBB, 0xCC, 0xDD, 0xEE};
-  hdr.addr3 = hdr.addr1;
-  hdr.sequence_control = static_cast<std::uint16_t>((p & 0xFFFU) << 4U);
-
-  dsp::BitSource payload_src(pkt_seed * 0x2545F4914F6CDD1DULL + 7);
-  const auto payload = payload_src.bytes(cfg.psdu_payload_bytes);
-  const auto psdu = wifi::build_psdu(hdr, payload);
-
-  tx.transmit_into(psdu, tws);
-  const auto capture = chan.transmit(tws.chains);
-  const auto& truth = chan.truth();
-
-  rws.capture_spans.assign(capture.begin(), capture.end());
-  const bool detected = rx.receive(
-      std::span<const std::span<const cf32>>(rws.capture_spans), rws);
-  const double airtime = tx.layout(psdu.size()).airtime_us();
-
-  PacketWork work;
-  work.outcome.index = p;
-  work.outcome.sent_psdu = psdu;
-  work.outcome.airtime_us = airtime;
-  work.outcome.truth_packet_start = truth.packet_start;
-  work.outcome.truth_cfo_norm = truth.cfo_norm;
-
-  account_packet(work.partial, rws, detected, psdu, payload.size(), airtime,
-                 truth);
-  if (!detected) return work;
-
-  work.outcome.detected = true;
-  if (want_rx) work.outcome.rx = rws.packet;
-  return work;
 }
 
 void account_packet(LinkResult& res, const RxWorkspace& rws, bool detected,
@@ -117,19 +67,79 @@ void account_packet(LinkResult& res, const RxWorkspace& rws, bool detected,
 
 namespace {
 
-using detail::PacketWork;
+using detail::kGolden;
 using detail::seeded_channel;
-using detail::simulate_packet;
 
-class LegacyAdapter final : public PacketObserver {
+/// One packet's contribution: the mergeable partial result plus the
+/// observer payload.
+struct PacketWork {
+  LinkResult partial;
+  PacketOutcome outcome;
+};
+
+/// One worker's engine: its own transmitter, channel and receiver plus
+/// their workspaces, so nothing in the transmit/receive chain is shared
+/// across threads and, once warm, nothing allocates.
+class LinkEngine {
  public:
-  explicit LegacyAdapter(const LegacyObserver& fn) : fn_(fn) {}
-  void on_packet(const PacketOutcome& outcome) override {
-    if (outcome.detected && fn_) fn_(outcome.rx, outcome.sent_psdu);
+  LinkEngine(const LinkConfig& cfg, bool want_rx)
+      : cfg_(cfg),
+        tx_(cfg.phy),
+        chan_(seeded_channel(cfg)),
+        rx_(cfg.phy, cfg.channel.nrx),
+        want_rx_(want_rx) {}
+
+  [[nodiscard]] PacketWork simulate(std::size_t p) {
+    const std::uint64_t pkt_seed = detail::packet_seed(cfg_.seed, p);
+    // Restart the channel's random sources for this packet; offsetting by
+    // the channel's own seed keeps common-random-number comparisons working.
+    chan_.reseed(cfg_.channel.seed * kGolden + pkt_seed);
+
+    wifi::MacHeader hdr;
+    hdr.addr1 = {0x02, 0x11, 0x22, 0x33, 0x44, 0x55};
+    hdr.addr2 = {0x02, 0xAA, 0xBB, 0xCC, 0xDD, 0xEE};
+    hdr.addr3 = hdr.addr1;
+    hdr.sequence_control = static_cast<std::uint16_t>((p & 0xFFFU) << 4U);
+
+    dsp::BitSource payload_src(pkt_seed * 0x2545F4914F6CDD1DULL + 7);
+    const auto payload = payload_src.bytes(cfg_.psdu_payload_bytes);
+    const auto psdu = wifi::build_psdu(hdr, payload);
+
+    tx_.transmit_into(psdu, tws_);
+    const auto capture = chan_.transmit(tws_.chains);
+    const auto& truth = chan_.truth();
+
+    rws_.capture_spans.assign(capture.begin(), capture.end());
+    const bool detected = rx_.receive(
+        std::span<const std::span<const cf32>>(rws_.capture_spans), rws_);
+    const double airtime = tx_.layout(psdu.size()).airtime_us();
+
+    PacketWork work;
+    work.outcome.index = p;
+    work.outcome.sent_psdu = psdu;
+    work.outcome.airtime_us = airtime;
+    work.outcome.truth_packet_start = truth.packet_start;
+    work.outcome.truth_cfo_norm = truth.cfo_norm;
+
+    detail::account_packet(work.partial, rws_, detected, psdu, payload.size(),
+                           airtime, truth);
+    if (!detected) return work;
+
+    work.outcome.detected = true;
+    if (want_rx_) work.outcome.rx = rws_.packet;
+    return work;
   }
 
  private:
-  const LegacyObserver& fn_;
+  const LinkConfig& cfg_;
+  const Transmitter tx_;
+  channel::MimoChannel chan_;
+  const Receiver rx_;
+  TxWorkspace tws_;
+  RxWorkspace rws_;
+  /// Copy the decoded RxPacket into each outcome. Only an observer reads
+  /// it, so the no-observer hot path skips the per-packet copy.
+  bool want_rx_;
 };
 
 }  // namespace
@@ -213,112 +223,22 @@ LinkSimulator::LinkSimulator(LinkConfig cfg)
       chan_(seeded_channel(cfg)),
       rx_(cfg.phy, cfg.channel.nrx) {}
 
-LinkResult LinkSimulator::run(const RunOptions& opt, PacketObserver* observer) {
+LinkResult LinkSimulator::run(const RunOptions& opt,
+                              const PacketObserver& observer) {
   const std::size_t bound = (opt.target_per_events > 0 && opt.max_packets > 0)
                                 ? opt.max_packets
                                 : opt.n_packets;
+  const bool want_rx = static_cast<bool>(observer);
   LinkResult res;
-  if (bound == 0) return res;
-
-  const auto reached_target = [&] {
-    return opt.target_per_events > 0 && res.per.failures() >= opt.target_per_events;
-  };
-
-  std::size_t n_threads =
-      opt.n_threads != 0
-          ? opt.n_threads
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  n_threads = std::min(n_threads, bound);
-
-  const bool want_rx = observer != nullptr;
-
-  if (n_threads <= 1) {
-    // Same per-packet path as the pool — merged in the same order — so a
-    // single-threaded run is bit-identical to any multi-threaded one. The
-    // loop owns one workspace pair; after the first packet warms it, the
-    // transmit/receive chain runs allocation-free.
-    TxWorkspace tws;
-    RxWorkspace rws;
-    for (std::size_t p = 0; p < bound; ++p) {
-      auto work = simulate_packet(cfg_, tx_, chan_, rx_, p, tws, rws, want_rx);
-      res.merge(work.partial);
-      if (observer != nullptr) observer->on_packet(work.outcome);
-      if (reached_target()) break;
-    }
-    return res;
-  }
-
-  // Worker pool: worker w owns its own Transmitter/MimoChannel/Receiver and
-  // simulates packets p ≡ w (mod n_threads) in increasing order, feeding a
-  // bounded queue. The calling thread merges packet 0, 1, 2, ... in global
-  // order and runs the observer, so aggregates and observer semantics are
-  // exactly the single-threaded ones.
-  constexpr std::size_t kQueueDepth = 4;
-  std::vector<std::unique_ptr<BoundedQueue<PacketWork>>> queues;
-  queues.reserve(n_threads);
-  for (std::size_t w = 0; w < n_threads; ++w) {
-    queues.push_back(std::make_unique<BoundedQueue<PacketWork>>(kQueueDepth));
-  }
-
-  std::atomic<bool> stop{false};
-  std::mutex err_mutex;
-  std::exception_ptr worker_error;
-
-  std::vector<std::thread> workers;
-  workers.reserve(n_threads);
-  for (std::size_t w = 0; w < n_threads; ++w) {
-    workers.emplace_back([&, w] {
-      try {
-        const Transmitter tx(cfg_.phy);
-        channel::MimoChannel chan(seeded_channel(cfg_));
-        const Receiver rx(cfg_.phy, cfg_.channel.nrx);
-        // Worker-owned arenas: no allocation or sharing across threads in
-        // the steady-state transmit/receive chain.
-        TxWorkspace tws;
-        RxWorkspace rws;
-        for (std::size_t p = w; p < bound; p += n_threads) {
-          if (stop.load(std::memory_order_relaxed)) break;
-          auto work = simulate_packet(cfg_, tx, chan, rx, p, tws, rws, want_rx);
-          if (!queues[w]->push(std::move(work))) break;
-        }
-      } catch (...) {
-        const std::lock_guard lk(err_mutex);
-        if (!worker_error) worker_error = std::current_exception();
-      }
-      queues[w]->close();
-    });
-  }
-
-  const auto shut_down = [&] {
-    stop.store(true, std::memory_order_relaxed);
-    for (auto& q : queues) q->stop();
-    for (auto& t : workers) t.join();
-  };
-
-  bool worker_died = false;
-  try {
-    for (std::size_t p = 0; p < bound; ++p) {
-      auto work = queues[p % n_threads]->pop();
-      if (!work) {  // producer exited without delivering: it threw
-        worker_died = true;
-        break;
-      }
-      res.merge(work->partial);
-      if (observer != nullptr) observer->on_packet(work->outcome);
-      if (reached_target()) break;
-    }
-  } catch (...) {
-    shut_down();
-    throw;  // observer exception
-  }
-  shut_down();
-  if (worker_died && worker_error) std::rethrow_exception(worker_error);
+  run_ordered_fold(
+      bound, opt.n_threads, [&] { return LinkEngine(cfg_, want_rx); },
+      [&](const PacketWork& work) {
+        res.merge(work.partial);
+        if (observer) observer(work.outcome);
+        return opt.target_per_events > 0 &&
+               res.per.failures() >= opt.target_per_events;
+      });
   return res;
-}
-
-LinkResult LinkSimulator::run(std::size_t n_packets, const LegacyObserver& observer) {
-  LegacyAdapter adapter(observer);
-  return run(RunOptions{.n_packets = n_packets}, &adapter);
 }
 
 LinkConfig make_link_config(unsigned mcs, double snr_db, std::size_t nrx) {

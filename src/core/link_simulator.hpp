@@ -132,14 +132,11 @@ struct PacketOutcome {
   double truth_cfo_norm = 0.0;
 };
 
-/// Per-packet callback contract. on_packet() is invoked on the thread that
-/// called run(), in packet-index order, for every simulated packet
-/// (detected or not) — regardless of how many worker threads simulate.
-class PacketObserver {
- public:
-  virtual ~PacketObserver() = default;
-  virtual void on_packet(const PacketOutcome& outcome) = 0;
-};
+/// Per-packet callback, invoked on the thread that called run(), in
+/// packet-index order, for every simulated packet (detected or not) —
+/// regardless of how many worker threads simulate. An exception it throws
+/// stops the run and propagates out of run().
+using PacketObserver = std::function<void(const PacketOutcome&)>;
 
 /// How to run a Monte-Carlo batch.
 struct RunOptions {
@@ -179,11 +176,6 @@ class RunOptions::Builder {
   RunOptions opt_;
 };
 
-/// Legacy observer form, kept as a thin adapter: called only for detected
-/// packets, with the RxPacket and the sent PSDU.
-using LegacyObserver =
-    std::function<void(const RxPacket&, const std::vector<std::uint8_t>& sent_psdu)>;
-
 /// Ties the full chain together and runs seeded Monte-Carlo batches.
 class LinkSimulator {
  public:
@@ -192,17 +184,16 @@ class LinkSimulator {
   /// Run a batch under `opt`; every random draw for packet p depends only
   /// on (cfg.seed, p), so results are bit-identical for any thread count.
   [[nodiscard]] LinkResult run(const RunOptions& opt,
-                               PacketObserver* observer = nullptr);
+                               const PacketObserver& observer = {});
 
   /// Convenience: run exactly `n_packets` single-threaded.
   [[nodiscard]] LinkResult run(std::size_t n_packets) {
     return run(RunOptions{.n_packets = n_packets});
   }
 
-  /// Back-compat adapter for the old callable observer form.
-  [[nodiscard]] LinkResult run(std::size_t n_packets, const LegacyObserver& observer);
-
   [[nodiscard]] const LinkConfig& config() const noexcept { return cfg_; }
+  /// The configured chain, for driving single packets by hand. run() does
+  /// not touch it: each of its workers builds its own.
   [[nodiscard]] const Transmitter& transmitter() const noexcept { return tx_; }
   [[nodiscard]] const Receiver& receiver() const noexcept { return rx_; }
   [[nodiscard]] channel::MimoChannel& channel() noexcept { return chan_; }

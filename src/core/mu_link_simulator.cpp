@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <complex>
 #include <cstdint>
 #include <exception>
-#include <memory>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "chanest/ls_estimator.hpp"
@@ -318,76 +314,21 @@ class UplinkEngine {
   std::vector<std::vector<std::uint8_t>> psdus_;
 };
 
-/// The shared Monte-Carlo driver: the same packet-index schedule, bounded
-/// queues and in-order fold as LinkSimulator::run, over either engine.
+/// Both directions run on LinkSimulator's executor: the same packet-index
+/// schedule and in-order fold, over either engine.
 template <class Engine>
 MuLinkResult run_engine(const MuLinkConfig& cfg, const MuRunOptions& opt) {
   MuLinkResult res;
   res.per_user.resize(cfg.n_users);
-  const std::size_t bound = opt.n_packets;
-  if (bound == 0) return res;
-
-  std::size_t n_threads =
-      opt.n_threads != 0
-          ? opt.n_threads
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  n_threads = std::min(n_threads, bound);
-
-  const auto fold = [&res](const MuPacketWork& work) {
-    for (std::size_t u = 0; u < work.per_user.size(); ++u) {
-      res.per_user[u].merge(work.per_user[u]);
-      res.total.merge(work.per_user[u]);
-    }
-  };
-
-  if (n_threads <= 1) {
-    Engine engine(cfg);
-    for (std::size_t p = 0; p < bound; ++p) fold(engine.simulate(p));
-    return res;
-  }
-
-  constexpr std::size_t kQueueDepth = 4;
-  std::vector<std::unique_ptr<BoundedQueue<MuPacketWork>>> queues;
-  queues.reserve(n_threads);
-  for (std::size_t w = 0; w < n_threads; ++w) {
-    queues.push_back(std::make_unique<BoundedQueue<MuPacketWork>>(kQueueDepth));
-  }
-
-  std::atomic<bool> stop{false};
-  std::mutex err_mutex;
-  std::exception_ptr worker_error;
-
-  std::vector<std::thread> workers;
-  workers.reserve(n_threads);
-  for (std::size_t w = 0; w < n_threads; ++w) {
-    workers.emplace_back([&, w] {
-      try {
-        Engine engine(cfg);
-        for (std::size_t p = w; p < bound; p += n_threads) {
-          if (stop.load(std::memory_order_relaxed)) break;
-          if (!queues[w]->push(engine.simulate(p))) break;
+  run_ordered_fold(
+      opt.n_packets, opt.n_threads, [&cfg] { return Engine(cfg); },
+      [&res](const MuPacketWork& work) {
+        for (std::size_t u = 0; u < work.per_user.size(); ++u) {
+          res.per_user[u].merge(work.per_user[u]);
+          res.total.merge(work.per_user[u]);
         }
-      } catch (...) {
-        const std::lock_guard lk(err_mutex);
-        if (!worker_error) worker_error = std::current_exception();
-      }
-      queues[w]->close();
-    });
-  }
-
-  bool worker_died = false;
-  for (std::size_t p = 0; p < bound; ++p) {
-    auto work = queues[p % n_threads]->pop();
-    if (!work) {  // producer exited without delivering: it threw
-      worker_died = true;
-      break;
-    }
-    fold(*work);
-  }
-  stop.store(true, std::memory_order_relaxed);
-  for (auto& q : queues) q->stop();
-  for (auto& t : workers) t.join();
-  if (worker_died && worker_error) std::rethrow_exception(worker_error);
+        return false;
+      });
   return res;
 }
 

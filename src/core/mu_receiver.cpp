@@ -23,25 +23,6 @@ namespace mimonet::core {
 
 namespace {
 
-/// Recover the TX scrambler seed from the 7 descrambler-sync bits (same
-/// trick as the single-link receiver — each user scrambles independently,
-/// so the recovery runs per stream).
-std::uint32_t recover_scrambler_seed(std::span<const std::uint8_t> first7) {
-  std::array<std::uint8_t, 7> seq{};
-  for (std::uint32_t seed = 1; seed < 128; ++seed) {
-    fec::scrambler_sequence_into(seed, seq);
-    bool match = true;
-    for (std::size_t i = 0; i < 7; ++i) {
-      if (seq[i] != (first7[i] & 1U)) {
-        match = false;
-        break;
-      }
-    }
-    if (match) return seed;
-  }
-  return fec::kDefaultScramblerSeed;
-}
-
 void reset_mu_packet(MuRxPacket& pkt, std::size_t n_users) {
   pkt.detected = false;
   pkt.sync = {};
@@ -259,8 +240,9 @@ bool MuUplinkReceiver::receive(std::span<const std::span<const cf32>> capture,
     }
     if (ws.scrambled.size() < kServiceBits + psdu_bits) continue;
 
+    // Each user scrambles independently, so the recovery runs per stream.
     const std::uint32_t seed =
-        recover_scrambler_seed(std::span(ws.scrambled).first(7));
+        fec::recover_scrambler_seed(std::span(ws.scrambled).first(7));
     fec::scramble_in_place(ws.scrambled, seed);
     wifi::bits_to_bytes_into(
         std::span<const std::uint8_t>(ws.scrambled).subspan(kServiceBits, psdu_bits),

@@ -39,25 +39,6 @@ std::vector<std::size_t> occupied_ht_bins() {
   return bins;
 }
 
-/// Recover the TX scrambler seed from the 7 descrambler-sync bits at the
-/// head of the SERVICE field (which the transmitter sends as zeros, so the
-/// received bits equal the scrambler sequence itself).
-std::uint32_t recover_scrambler_seed(std::span<const std::uint8_t> first7) {
-  std::array<std::uint8_t, 7> seq{};
-  for (std::uint32_t seed = 1; seed < 128; ++seed) {
-    fec::scrambler_sequence_into(seed, seq);
-    bool match = true;
-    for (std::size_t i = 0; i < 7; ++i) {
-      if (seq[i] != (first7[i] & 1U)) {
-        match = false;
-        break;
-      }
-    }
-    if (match) return seed;
-  }
-  return fec::kDefaultScramblerSeed;  // undecodable; any seed will fail FCS
-}
-
 /// Size a per-stream buffer list for `nss` streams without ever shrinking
 /// it: shrinking frees the inner buffers, so the next frame with more
 /// streams would allocate them again. Only the first nss entries are used.
@@ -749,7 +730,7 @@ bool Receiver::receive(std::span<const std::span<const cf32>> capture,
   }
 
   const std::uint32_t seed =
-      recover_scrambler_seed(std::span(ws.scrambled).first(7));
+      fec::recover_scrambler_seed(std::span(ws.scrambled).first(7));
   fec::scramble_in_place(ws.scrambled, seed);
 
   wifi::bits_to_bytes_into(

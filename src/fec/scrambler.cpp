@@ -1,5 +1,6 @@
 #include "fec/scrambler.hpp"
 
+#include <array>
 #include <stdexcept>
 
 #include "dsp/lfsr.hpp"
@@ -33,6 +34,22 @@ std::vector<std::uint8_t> scrambler_sequence(std::uint32_t seed, std::size_t len
   std::vector<std::uint8_t> out(length);
   scrambler_sequence_into(seed, out);
   return out;
+}
+
+std::uint32_t recover_scrambler_seed(std::span<const std::uint8_t> first7) {
+  std::array<std::uint8_t, 7> seq{};
+  for (std::uint32_t seed = 1; seed < 128; ++seed) {
+    scrambler_sequence_into(seed, seq);
+    bool match = true;
+    for (std::size_t i = 0; i < 7; ++i) {
+      if (seq[i] != (first7[i] & 1U)) {
+        match = false;
+        break;
+      }
+    }
+    if (match) return seed;
+  }
+  return kDefaultScramblerSeed;
 }
 
 }  // namespace mimonet::fec

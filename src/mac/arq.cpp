@@ -12,10 +12,10 @@ namespace mimonet::mac {
 
 namespace {
 
-ArqConfig normalize(ArqConfig cfg) {
+SrConfig normalize(SrConfig cfg) {
   // ACKs default to the most robust rate on a single stream.
-  if (cfg.ack_phy.mcs == cfg.data_phy.mcs) cfg.ack_phy.mcs = 0;
-  cfg.ack_phy.fec_enabled = true;
+  if (cfg.arq.ack_phy.mcs == cfg.arq.data_phy.mcs) cfg.arq.ack_phy.mcs = 0;
+  cfg.arq.ack_phy.fec_enabled = true;
   return cfg;
 }
 
@@ -80,124 +80,8 @@ double fade_scale_at(std::span<const FadeSegment> fades, double t_us,
   return scale;
 }
 
-StopAndWaitLink::StopAndWaitLink(ArqConfig cfg)
-    : cfg_(normalize(std::move(cfg))),
-      data_tx_(cfg_.data_phy),
-      data_rx_(cfg_.data_phy, cfg_.forward.nrx),
-      ack_tx_(cfg_.ack_phy),
-      ack_rx_(cfg_.ack_phy, cfg_.reverse.nrx),
-      forward_(cfg_.forward),
-      reverse_(cfg_.reverse) {
-  if (cfg_.forward.ntx != data_tx_.num_streams()) {
-    throw std::invalid_argument("StopAndWaitLink: forward ntx != data TX chains");
-  }
-  if (cfg_.reverse.ntx != ack_tx_.num_streams()) {
-    throw std::invalid_argument("StopAndWaitLink: reverse ntx != ACK TX chains");
-  }
-}
-
-std::optional<wifi::ParsedPsdu> StopAndWaitLink::phy_exchange(
-    const core::Transmitter& tx, channel::MimoChannel& chan,
-    const core::Receiver& rx, const wifi::MacHeader& hdr,
-    std::span<const std::uint8_t> payload, double nominal_scale,
-    double& airtime_us) {
-  chan.set_power_scale(fade_scale_at(cfg_.fades, clock_us_, nominal_scale));
-  const auto psdu = wifi::build_psdu(hdr, payload);
-  const auto streams = tx.transmit(psdu);
-  const double t = tx.layout(psdu.size()).airtime_us();
-  const double t0 = clock_us_;
-  airtime_us += t;
-  clock_us_ += t;
-  auto capture = chan.transmit(streams);
-  apply_interference(cfg_.interference, t0, t0 + t, cfg_.seed, capture);
-  rx_ws_.capture_spans.assign(capture.begin(), capture.end());
-  const bool got = rx.receive(
-      std::span<const std::span<const dsp::cf32>>(rx_ws_.capture_spans),
-      rx_ws_);
-  if (!got || !rx_ws_.packet.fcs_ok) {
-    return std::nullopt;
-  }
-  return wifi::parse_psdu(rx_ws_.packet.psdu);
-}
-
-DeliveryReport StopAndWaitLink::send(std::span<const std::uint8_t> msdu) {
-  DeliveryReport report;
-  ++stats_.msdus;
-
-  wifi::MacHeader data_hdr;
-  data_hdr.frame_control = 0x0008;  // data
-  data_hdr.sequence_control = static_cast<std::uint16_t>(seq_ << 4U);
-
-  wifi::MacHeader ack_hdr;
-  ack_hdr.frame_control = kAckFrameControl;
-
-  for (unsigned attempt = 0; attempt <= cfg_.max_retries; ++attempt) {
-    ++report.transmissions;
-    if (attempt > 0) ++stats_.retransmissions;
-
-    const auto delivered =
-        phy_exchange(data_tx_, forward_, data_rx_, data_hdr, msdu,
-                     cfg_.forward.power_scale, report.airtime_us);
-    bool ack_due = false;
-    if (delivered) {
-      const std::uint16_t rx_seq = delivered->header.sequence_control >> 4U;
-      if (peer_last_seq_ && *peer_last_seq_ == rx_seq) {
-        // Retransmission of a frame the peer already has (its ACK was
-        // lost): de-duplicate but still acknowledge.
-        report.duplicate_at_peer = true;
-        ++stats_.duplicates;
-      } else {
-        peer_last_seq_ = rx_seq;
-        peer_rx_log_.emplace_back(delivered->payload);
-      }
-      ack_due = true;
-    }
-
-    if (ack_due) {
-      ack_hdr.sequence_control = data_hdr.sequence_control;
-      const auto ack =
-          phy_exchange(ack_tx_, reverse_, ack_rx_, ack_hdr, {},
-                       cfg_.reverse.power_scale, report.airtime_us);
-      if (ack && ack->header.frame_control == kAckFrameControl &&
-          ack->header.sequence_control == data_hdr.sequence_control) {
-        report.delivered = true;
-        break;
-      }
-    }
-
-    // Wait out the retransmission timeout before the next try: exponential
-    // with jitter under the backoff policy, the legacy fixed interval
-    // otherwise. Time passing is what lets a scheduled fade end.
-    if (attempt < cfg_.max_retries) {
-      const std::uint64_t key = dsp::splitmix64(
-          cfg_.seed ^ (static_cast<std::uint64_t>(seq_) << 20U) ^ attempt);
-      const double d = cfg_.backoff.enabled
-                           ? backoff_delay_us(cfg_.backoff, attempt, key)
-                           : cfg_.backoff.initial_timeout_us;
-      report.wait_us += d;
-      clock_us_ += d;
-    }
-  }
-
-  seq_ = static_cast<std::uint16_t>((seq_ + 1) & 0x0FFF);
-  stats_.airtime_us += report.airtime_us;
-  stats_.wait_us += report.wait_us;
-  if (report.delivered) {
-    ++stats_.delivered;
-    stats_.delivered_bits += static_cast<double>(msdu.size()) * 8.0;
-  }
-  return report;
-}
-
-namespace {
-SrConfig normalize_sr(SrConfig cfg) {
-  cfg.arq = normalize(std::move(cfg.arq));
-  return cfg;
-}
-}  // namespace
-
 SelectiveRepeatLink::SelectiveRepeatLink(SrConfig cfg)
-    : cfg_(normalize_sr(std::move(cfg))),
+    : cfg_(normalize(std::move(cfg))),
       current_mcs_(cfg_.arq.data_phy.mcs),
       min_mcs_(0),
       data_rx_(cfg_.arq.data_phy, cfg_.arq.forward.nrx),
@@ -228,12 +112,7 @@ SelectiveRepeatLink::SelectiveRepeatLink(SrConfig cfg)
     throw std::invalid_argument(
         "SelectiveRepeatLink: reverse ntx != ACK TX chains");
   }
-  // The legacy streak knobs stay authoritative for the failure-count
-  // policy, so pre-adaptor configs behave identically.
-  LinkAdaptorConfig acfg = cfg_.adapt;
-  acfg.fallback_after = cfg_.fallback_after;
-  acfg.recover_after = cfg_.recover_after;
-  adaptor_.emplace(acfg, current_mcs_, min_mcs_, cfg_.arq.data_phy.mcs);
+  adaptor_.emplace(cfg_.adapt, current_mcs_, min_mcs_, cfg_.arq.data_phy.mcs);
   peer_next_abs_ = cfg_.first_frame_index;
 }
 

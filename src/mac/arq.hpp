@@ -1,8 +1,8 @@
-// ARQ MACs over the MIMONet PHY: a stop-and-wait link (data frames one way,
-// ACK frames the other, retransmission on timeout) and a selective-repeat
-// window ARQ with exponential-backoff retransmission pacing and automatic
-// MCS fallback — the network-level layer the paper's "MIMONet SDR platform
-// for network-level exploitation of MIMO technology" motivates.
+// ARQ MAC over the MIMONet PHY: a selective-repeat window ARQ (data frames
+// one way, ACK frames the other) with exponential-backoff retransmission
+// pacing and automatic MCS fallback — the network-level layer the paper's
+// "MIMONet SDR platform for network-level exploitation of MIMO technology"
+// motivates. Stop-and-wait is the same link with a window of one.
 //
 // Time is simulated: each link keeps a microsecond clock advanced by frame
 // airtime and retransmission waits, and an externally scheduled fade
@@ -91,81 +91,6 @@ struct ArqConfig {
   std::uint64_t seed = 1;
 };
 
-/// Outcome of one MSDU delivery attempt.
-struct DeliveryReport {
-  bool delivered = false;       ///< an ACK eventually came back
-  bool duplicate_at_peer = false;  ///< peer saw the frame more than once
-  unsigned transmissions = 0;   ///< 1 = first try succeeded
-  double airtime_us = 0.0;      ///< data + ACK air time spent, all tries
-  double wait_us = 0.0;         ///< time spent waiting between retries
-};
-
-/// Aggregate MAC statistics.
-struct ArqStats {
-  std::size_t msdus = 0;
-  std::size_t delivered = 0;
-  std::size_t retransmissions = 0;
-  std::size_t duplicates = 0;   ///< frames the peer had to de-duplicate
-  double airtime_us = 0.0;
-  double wait_us = 0.0;         ///< backoff/timeout waits (not airtime)
-  double delivered_bits = 0.0;
-
-  [[nodiscard]] double goodput_mbps() const noexcept {
-    return airtime_us > 0.0 ? delivered_bits / airtime_us : 0.0;
-  }
-  [[nodiscard]] double loss_rate() const noexcept {
-    return msdus > 0 ? 1.0 - static_cast<double>(delivered) /
-                                 static_cast<double>(msdus)
-                     : 0.0;
-  }
-};
-
-/// Simulates a bidirectional stop-and-wait link between one station and one
-/// peer, including the ACK channel. Sequence numbers de-duplicate data
-/// frames whose ACK was lost.
-class StopAndWaitLink {
- public:
-  explicit StopAndWaitLink(ArqConfig cfg);
-
-  /// Deliver one MSDU (payload bytes); updates stats().
-  DeliveryReport send(std::span<const std::uint8_t> msdu);
-
-  /// Payloads the peer accepted, in order, de-duplicated.
-  [[nodiscard]] const std::vector<std::vector<std::uint8_t>>& received() const noexcept {
-    return peer_rx_log_;
-  }
-
-  [[nodiscard]] const ArqStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const ArqConfig& config() const noexcept { return cfg_; }
-  /// Simulated clock: total airtime plus retransmission waits so far.
-  [[nodiscard]] double now_us() const noexcept { return clock_us_; }
-
- private:
-  /// One PHY exchange in a direction; returns the decoded PSDU on success.
-  /// Applies the fade schedule at the current clock (against `nominal_scale`,
-  /// that direction's configured power scale) and advances the clock by the
-  /// frame's airtime.
-  [[nodiscard]] std::optional<wifi::ParsedPsdu> phy_exchange(
-      const core::Transmitter& tx, channel::MimoChannel& chan,
-      const core::Receiver& rx, const wifi::MacHeader& hdr,
-      std::span<const std::uint8_t> payload, double nominal_scale,
-      double& airtime_us);
-
-  ArqConfig cfg_;
-  core::Transmitter data_tx_;
-  core::Receiver data_rx_;
-  core::Transmitter ack_tx_;
-  core::Receiver ack_rx_;
-  channel::MimoChannel forward_;
-  channel::MimoChannel reverse_;
-  core::RxWorkspace rx_ws_;  ///< warm workspace shared by both directions
-  std::uint16_t seq_ = 0;
-  std::optional<std::uint16_t> peer_last_seq_;
-  std::vector<std::vector<std::uint8_t>> peer_rx_log_;
-  ArqStats stats_;
-  double clock_us_ = 0.0;
-};
-
 /// ACK frame_control marker (control frame subtype ACK, simplified).
 inline constexpr std::uint16_t kAckFrameControl = 0x00D4;
 
@@ -185,15 +110,9 @@ inline constexpr std::uint16_t kAckFrameControl = 0x00D4;
 /// Selective-repeat window ARQ configuration.
 struct SrConfig {
   ArqConfig arq{};          ///< PHYs, channels, retry/backoff/fade policy
-  std::size_t window = 4;   ///< outstanding frames (must be < 2048)
-  /// MCS fallback: after this many consecutive failed data exchanges, step
-  /// the data MCS down one rate within its spatial-stream group. 0 = never.
-  /// (kFailureCount policy; copied over adapt.fallback_after.)
-  unsigned fallback_after = 3;
-  /// Recovery: after this many consecutive successful data exchanges below
-  /// the configured MCS, step one rate back up. 0 = never recover.
-  /// (kFailureCount policy; copied over adapt.recover_after.)
-  unsigned recover_after = 8;
+  /// Outstanding frames (must be < 2048). 1 = stop-and-wait: each frame
+  /// is ACKed or abandoned before the next one goes out.
+  std::size_t window = 4;
   /// Floor for fallback; -1 = the lowest rate of the configured MCS's
   /// spatial-stream group (nss never changes — antenna counts are fixed).
   int min_mcs = -1;
@@ -202,9 +121,9 @@ struct SrConfig {
   /// decode (see core::HarqDecode). Off = every attempt decodes standalone.
   bool harq = false;
   /// Adaptation controller (see mac/link_adaptor.hpp). adapt.policy selects
-  /// the legacy failure-count baseline (default) or the evidence-driven
-  /// controller; the legacy fallback_after / recover_after knobs above
-  /// override the copies inside `adapt` so existing configs keep working.
+  /// the failure-count baseline (default) or the evidence-driven
+  /// controller. With the baseline, adapt.fallback_after = 0 and
+  /// adapt.recover_after = 0 hold the configured MCS.
   LinkAdaptorConfig adapt{};
   /// Absolute index of the first queued frame (seq = abs & 0xFFF). Lets a
   /// test start a link just below the 12-bit wrap (e.g. 4090) so a short
@@ -285,6 +204,10 @@ class SelectiveRepeatLink {
     bool abandoned = false;
   };
 
+  /// One PHY exchange in a direction; returns the decoded PSDU on success.
+  /// Applies the fade schedule at the current clock (against `nominal_scale`,
+  /// that direction's configured power scale) and advances the clock by the
+  /// frame's airtime.
   [[nodiscard]] std::optional<wifi::ParsedPsdu> phy_exchange(
       const core::Transmitter& tx, channel::MimoChannel& chan,
       const core::Receiver& rx, const wifi::MacHeader& hdr,

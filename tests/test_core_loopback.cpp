@@ -51,13 +51,14 @@ TEST(Loopback, DecodedHtSigMatchesConfig) {
   auto cfg = clean_config(12);
   LinkSimulator sim(cfg);
   bool saw_packet = false;
-  sim.run(1, [&](const core::RxPacket& pkt, const std::vector<std::uint8_t>& sent) {
+  (void)sim.run(core::RunOptions{.n_packets = 1}, [&](const core::PacketOutcome& o) {
+    if (!o.detected) return;
     saw_packet = true;
-    EXPECT_TRUE(pkt.htsig_ok);
-    EXPECT_EQ(pkt.htsig.mcs, 12);
-    EXPECT_EQ(pkt.htsig.length, sent.size());
-    EXPECT_TRUE(pkt.lsig_ok);
-    EXPECT_EQ(pkt.psdu, sent);
+    EXPECT_TRUE(o.rx.htsig_ok);
+    EXPECT_EQ(o.rx.htsig.mcs, 12);
+    EXPECT_EQ(o.rx.htsig.length, o.sent_psdu.size());
+    EXPECT_TRUE(o.rx.lsig_ok);
+    EXPECT_EQ(o.rx.psdu, o.sent_psdu);
   });
   EXPECT_TRUE(saw_packet);
 }

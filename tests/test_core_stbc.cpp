@@ -134,10 +134,11 @@ TEST(StbcLoopback, HtSigCarriesStbcFlag) {
   cfg.channel.fading = true;
   core::LinkSimulator sim(cfg);
   bool seen = false;
-  (void)sim.run(1, [&](const core::RxPacket& pkt, const auto&) {
+  (void)sim.run(core::RunOptions{.n_packets = 1}, [&](const core::PacketOutcome& o) {
+    if (!o.detected) return;
     seen = true;
-    EXPECT_EQ(pkt.htsig.stbc, 1);
-    EXPECT_TRUE(pkt.fcs_ok);
+    EXPECT_EQ(o.rx.htsig.stbc, 1);
+    EXPECT_TRUE(o.rx.fcs_ok);
   });
   EXPECT_TRUE(seen);
 }

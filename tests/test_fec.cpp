@@ -72,6 +72,18 @@ TEST(Scrambler, AllSeedsGeneratePeriod127) {
   }
 }
 
+TEST(Scrambler, SeedRecoveryFromSyncBitsRoundTrips) {
+  // The first 7 outputs fix the LFSR state, so every seed is recoverable.
+  for (std::uint32_t seed = 1; seed < 128; ++seed) {
+    auto sync = scrambler_sequence(seed, 7);
+    for (auto& b : sync) b |= 0x2;  // only bit 0 of each entry counts
+    EXPECT_EQ(recover_scrambler_seed(sync), seed);
+  }
+  // No non-zero state emits seven zeros: corrupt bits fall back.
+  const std::vector<std::uint8_t> zeros(7, 0);
+  EXPECT_EQ(recover_scrambler_seed(zeros), kDefaultScramblerSeed);
+}
+
 // ---------------------------------------------------- convolutional code
 
 TEST(ConvEncode, ImpulseGivesGeneratorPolynomials) {

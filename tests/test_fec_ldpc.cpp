@@ -164,11 +164,12 @@ TEST(LdpcPhy, HtSigAnnouncesLdpc) {
   cfg.phy.fec_type = core::FecType::kLdpc;
   core::LinkSimulator sim(cfg);
   bool seen = false;
-  (void)sim.run(1, [&](const core::RxPacket& pkt, const auto& sent) {
+  (void)sim.run(core::RunOptions{.n_packets = 1}, [&](const core::PacketOutcome& o) {
+    if (!o.detected) return;
     seen = true;
-    EXPECT_TRUE(pkt.htsig.fec_coding);
-    EXPECT_TRUE(pkt.fcs_ok);
-    EXPECT_EQ(pkt.psdu, sent);
+    EXPECT_TRUE(o.rx.htsig.fec_coding);
+    EXPECT_TRUE(o.rx.fcs_ok);
+    EXPECT_EQ(o.rx.psdu, o.sent_psdu);
   });
   EXPECT_TRUE(seen);
 }

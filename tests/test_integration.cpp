@@ -115,9 +115,10 @@ TEST(Integration, ResidualCfoReportedByTrackerMatchesInjectedError) {
   cfg.seed = 77;
   core::LinkSimulator sim(cfg);
   dsp::RunningStats resid;
-  (void)sim.run(6, [&](const core::RxPacket& pkt, const auto&) {
+  (void)sim.run(core::RunOptions{.n_packets = 6}, [&](const core::PacketOutcome& o) {
+    if (!o.detected) return;
     // total estimate = sync estimate + residual seen by the tracker.
-    resid.add(pkt.sync.cfo_norm + pkt.residual_cfo_norm);
+    resid.add(o.rx.sync.cfo_norm + o.rx.residual_cfo_norm);
   });
   ASSERT_GT(resid.count(), 0U);
   EXPECT_NEAR(resid.mean(), 9e-4, 5e-5);

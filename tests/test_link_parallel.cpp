@@ -5,6 +5,7 @@
 // ThreadSanitizer.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -85,22 +86,18 @@ TEST(LinkParallel, ThreadCountInvarianceUnderImpairments) {
 
 TEST(LinkParallel, ObserverSeesEveryPacketInOrderOnCallingThread) {
   constexpr std::size_t kPackets = 12;
-  class Recorder final : public core::PacketObserver {
-   public:
-    void on_packet(const core::PacketOutcome& o) override {
-      indices.push_back(o.index);
-      threads.push_back(std::this_thread::get_id());
-    }
-    std::vector<std::size_t> indices;
-    std::vector<std::thread::id> threads;
-  };
-  Recorder rec;
+  std::vector<std::size_t> indices;
+  std::vector<std::thread::id> threads;
   core::LinkSimulator sim(test_config());
-  (void)sim.run(core::RunOptions{.n_packets = kPackets, .n_threads = 4}, &rec);
-  ASSERT_EQ(rec.indices.size(), kPackets);
+  (void)sim.run(core::RunOptions{.n_packets = kPackets, .n_threads = 4},
+                [&](const core::PacketOutcome& o) {
+                  indices.push_back(o.index);
+                  threads.push_back(std::this_thread::get_id());
+                });
+  ASSERT_EQ(indices.size(), kPackets);
   for (std::size_t i = 0; i < kPackets; ++i) {
-    EXPECT_EQ(rec.indices[i], i);
-    EXPECT_EQ(rec.threads[i], std::this_thread::get_id());
+    EXPECT_EQ(indices[i], i);
+    EXPECT_EQ(threads[i], std::this_thread::get_id());
   }
 }
 
@@ -133,16 +130,56 @@ TEST(LinkParallel, EarlyStopCapsAtMaxPackets) {
   EXPECT_EQ(res.per.failures(), 0U);
 }
 
-TEST(LinkParallel, LegacyObserverAdapterStillWorks) {
+TEST(LinkParallel, ObserverSeesDecodedPacketAndSentPsdu) {
   core::LinkSimulator sim(test_config());
   std::size_t seen = 0;
-  const auto res = sim.run(
-      4, [&](const core::RxPacket& pkt, const std::vector<std::uint8_t>& sent) {
-        ++seen;
-        EXPECT_FALSE(sent.empty());
-        (void)pkt;
-      });
-  EXPECT_EQ(seen + res.undetected, 4U);
+  std::size_t detected = 0;
+  const auto res = sim.run(core::RunOptions{.n_packets = 4},
+                           [&](const core::PacketOutcome& o) {
+                             ++seen;
+                             EXPECT_FALSE(o.sent_psdu.empty());
+                             if (!o.detected) return;
+                             ++detected;
+                             if (o.rx.fcs_ok) {
+                               EXPECT_EQ(o.rx.psdu, o.sent_psdu);
+                             }
+                           });
+  EXPECT_EQ(seen, 4U);
+  EXPECT_EQ(detected + res.undetected, 4U);
+}
+
+// ---- Failure paths: the executor stops and joins every worker, then
+// rethrows the first exception, whether a worker or the caller threw.
+
+TEST(LinkParallel, WorkerExceptionIsRethrownOnCaller) {
+  auto cfg = test_config();
+  cfg.channel.sfo_ppm = -2e6;  // apply_sfo rejects it on every transmit
+  for (const std::size_t n_threads : {1UL, 4UL}) {
+    SCOPED_TRACE(n_threads);
+    core::LinkSimulator sim(cfg);
+    EXPECT_THROW((void)sim.run(core::RunOptions{.n_packets = 8, .n_threads = n_threads}),
+                 std::invalid_argument);
+  }
+}
+
+TEST(LinkParallel, ObserverExceptionIsRethrownAndSimulatorStaysUsable) {
+  struct ObserverFailure {};
+  for (const std::size_t n_threads : {1UL, 4UL}) {
+    SCOPED_TRACE(n_threads);
+    core::LinkSimulator sim(test_config());
+    std::vector<std::size_t> seen;
+    const auto throw_at_five = [&](const core::PacketOutcome& o) {
+      seen.push_back(o.index);
+      if (o.index == 5) throw ObserverFailure{};
+    };
+    EXPECT_THROW((void)sim.run(core::RunOptions{.n_packets = 16, .n_threads = n_threads},
+                               throw_at_five),
+                 ObserverFailure);
+    EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+    const auto res =
+        sim.run(core::RunOptions{.n_packets = 8, .n_threads = n_threads});
+    EXPECT_EQ(res.per.packets(), 8U);
+  }
 }
 
 TEST(LinkParallel, LinkResultMergeEqualsOneBigRun) {

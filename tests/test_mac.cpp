@@ -1,6 +1,15 @@
-// Stop-and-wait ARQ over the full PHY: delivery, retransmission,
-// de-duplication, and give-up behaviour.
+// The ARQ MAC over the full PHY. Stop-and-wait (selective repeat with a
+// window of one): delivery, retransmission, de-duplication, give-up and
+// backoff behaviour. Then the window link: in-order release, sequence
+// wraparound, MCS fallback, HARQ, and the rate adaptor on its own.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <cstring>
+#include <numeric>
+#include <vector>
 
 #include "mac/arq.hpp"
 
@@ -27,28 +36,46 @@ std::vector<std::uint8_t> payload_of(std::size_t n, std::uint8_t fill) {
   return std::vector<std::uint8_t>(n, fill);
 }
 
+mac::SrConfig sr_config(double fwd_snr, double rev_snr, std::uint64_t seed) {
+  mac::SrConfig cfg;
+  cfg.arq = link_config(fwd_snr, rev_snr, seed);
+  return cfg;
+}
+
+/// Stop-and-wait: selective repeat with a window of one and no rate
+/// adaptation.
+mac::SrConfig stop_and_wait(const mac::ArqConfig& arq) {
+  mac::SrConfig cfg;
+  cfg.arq = arq;
+  cfg.window = 1;
+  cfg.adapt.fallback_after = 0;
+  cfg.adapt.recover_after = 0;
+  return cfg;
+}
+
 TEST(Arq, CleanLinkDeliversFirstTry) {
-  mac::StopAndWaitLink link(link_config(30.0, 30.0, 1));
+  mac::SelectiveRepeatLink link(stop_and_wait(link_config(30.0, 30.0, 1)));
   for (int i = 0; i < 5; ++i) {
-    const auto rep = link.send(payload_of(400, static_cast<std::uint8_t>(i)));
-    EXPECT_TRUE(rep.delivered);
-    EXPECT_EQ(rep.transmissions, 1U);
-    EXPECT_FALSE(rep.duplicate_at_peer);
+    link.queue(payload_of(400, static_cast<std::uint8_t>(i)));
   }
-  EXPECT_EQ(link.stats().delivered, 5U);
-  EXPECT_EQ(link.stats().retransmissions, 0U);
+  const auto& st = link.run();
+  EXPECT_EQ(st.delivered, 5U);
+  EXPECT_EQ(st.attempts_hist[1], 5U);  // every frame on its first try
+  EXPECT_EQ(st.retransmissions, 0U);
+  EXPECT_EQ(st.duplicates, 0U);
   ASSERT_EQ(link.received().size(), 5U);
   EXPECT_EQ(link.received()[3][0], 3);
 }
 
 TEST(Arq, AirtimeIncludesAckExchange) {
-  mac::StopAndWaitLink link(link_config(30.0, 30.0, 2));
-  const auto rep = link.send(payload_of(100, 0xAA));
-  ASSERT_TRUE(rep.delivered);
-  core::Transmitter data_tx(link.config().data_phy);
+  mac::SelectiveRepeatLink link(stop_and_wait(link_config(30.0, 30.0, 2)));
+  link.queue(payload_of(100, 0xAA));
+  const auto& st = link.run();
+  ASSERT_EQ(st.delivered, 1U);
+  core::Transmitter data_tx(link.config().arq.data_phy);
   const double data_air =
       data_tx.layout(100 + wifi::kMacHeaderLen + wifi::kFcsLen).airtime_us();
-  EXPECT_GT(rep.airtime_us, data_air);  // data + ACK > data alone
+  EXPECT_GT(st.airtime_us, data_air);  // data + ACK > data alone
 }
 
 TEST(Arq, NoisyForwardLinkRetransmits) {
@@ -56,22 +83,25 @@ TEST(Arq, NoisyForwardLinkRetransmits) {
   // with 7 retries almost everything gets through.
   auto cfg = link_config(8.0, 30.0, 3);
   cfg.forward.fading = true;
-  mac::StopAndWaitLink link(cfg);
+  mac::SelectiveRepeatLink link(stop_and_wait(cfg));
   for (int i = 0; i < 25; ++i) {
-    (void)link.send(payload_of(300, static_cast<std::uint8_t>(i)));
+    link.queue(payload_of(300, static_cast<std::uint8_t>(i)));
   }
-  EXPECT_GT(link.stats().retransmissions, 0U);
-  EXPECT_GE(link.stats().delivered, 23U);
+  const auto& st = link.run();
+  EXPECT_GT(st.retransmissions, 0U);
+  EXPECT_GE(st.delivered, 23U);
 }
 
 TEST(Arq, HopelessLinkGivesUpAfterMaxRetries) {
   auto cfg = link_config(-10.0, 30.0, 4);
   cfg.max_retries = 2;
-  mac::StopAndWaitLink link(cfg);
-  const auto rep = link.send(payload_of(200, 0x55));
-  EXPECT_FALSE(rep.delivered);
-  EXPECT_EQ(rep.transmissions, 3U);  // 1 try + 2 retries
-  EXPECT_NEAR(link.stats().loss_rate(), 1.0, 1e-9);
+  mac::SelectiveRepeatLink link(stop_and_wait(cfg));
+  link.queue(payload_of(200, 0x55));
+  const auto& st = link.run();
+  EXPECT_EQ(st.delivered, 0U);
+  EXPECT_EQ(st.lost, 1U);
+  EXPECT_EQ(st.attempts_hist[3], 1U);  // 1 try + 2 retries
+  EXPECT_NEAR(st.loss_rate(), 1.0, 1e-9);
 }
 
 TEST(Arq, LostAckCausesDuplicateThatIsSuppressed) {
@@ -79,25 +109,27 @@ TEST(Arq, LostAckCausesDuplicateThatIsSuppressed) {
   // the peer receives the data repeatedly but must log it once.
   auto cfg = link_config(30.0, -15.0, 5);
   cfg.max_retries = 3;
-  mac::StopAndWaitLink link(cfg);
-  const auto rep = link.send(payload_of(100, 0x77));
-  EXPECT_FALSE(rep.delivered);           // no ACK ever made it back
-  EXPECT_TRUE(rep.duplicate_at_peer);    // but the peer saw retransmissions
-  EXPECT_EQ(link.received().size(), 1U); // logged exactly once
+  mac::SelectiveRepeatLink link(stop_and_wait(cfg));
+  link.queue(payload_of(100, 0x77));
+  const auto& st = link.run();
+  EXPECT_EQ(st.delivered, 0U);            // no ACK ever made it back
+  EXPECT_GT(st.duplicates, 0U);           // but the peer saw retransmissions
+  EXPECT_EQ(link.received().size(), 1U);  // logged exactly once
 }
 
 TEST(Arq, StatsGoodputIsPositiveOnWorkingLink) {
-  mac::StopAndWaitLink link(link_config(25.0, 25.0, 6));
-  for (int i = 0; i < 3; ++i) (void)link.send(payload_of(1000, 1));
-  EXPECT_GT(link.stats().goodput_mbps(), 1.0);
-  EXPECT_LT(link.stats().goodput_mbps(),
-            wifi::mcs_info(link.config().data_phy.mcs).data_rate_mbps());
+  mac::SelectiveRepeatLink link(stop_and_wait(link_config(25.0, 25.0, 6)));
+  for (int i = 0; i < 3; ++i) link.queue(payload_of(1000, 1));
+  const auto& st = link.run();
+  EXPECT_GT(st.goodput_mbps(), 1.0);
+  EXPECT_LT(st.goodput_mbps(),
+            wifi::mcs_info(link.config().arq.data_phy.mcs).data_rate_mbps());
 }
 
 TEST(Arq, MismatchedAntennaConfigThrows) {
   auto cfg = link_config(20.0, 20.0, 7);
   cfg.data_phy.mcs = 9;  // 2 streams but forward channel is 1x1
-  EXPECT_THROW(mac::StopAndWaitLink{cfg}, std::invalid_argument);
+  EXPECT_THROW(mac::SelectiveRepeatLink{stop_and_wait(cfg)}, std::invalid_argument);
 }
 
 TEST(Arq, MimoDataPlusSisoAckWorks) {
@@ -105,9 +137,9 @@ TEST(Arq, MimoDataPlusSisoAckWorks) {
   cfg.data_phy.mcs = 10;
   cfg.forward.ntx = 2;
   cfg.forward.nrx = 2;
-  mac::StopAndWaitLink link(cfg);
-  const auto rep = link.send(payload_of(500, 0x10));
-  EXPECT_TRUE(rep.delivered);
+  mac::SelectiveRepeatLink link(stop_and_wait(cfg));
+  link.queue(payload_of(500, 0x10));
+  EXPECT_EQ(link.run().delivered, 1U);
 }
 
 TEST(ArqBackoff, DelayIsDeterministicGrowsAndCaps) {
@@ -155,24 +187,150 @@ TEST(ArqBackoff, OutlastsFadeThatKillsFixedIntervalRetries) {
 
   auto fixed_cfg = base;
   fixed_cfg.backoff.enabled = false;
-  mac::StopAndWaitLink fixed_link(fixed_cfg);
-  const auto fixed_rep = fixed_link.send(payload_of(100, 0xAB));
-  EXPECT_FALSE(fixed_rep.delivered);
-  EXPECT_EQ(fixed_rep.transmissions, 8U);
+  mac::SelectiveRepeatLink fixed_link(stop_and_wait(fixed_cfg));
+  fixed_link.queue(payload_of(100, 0xAB));
+  const auto& fixed_st = fixed_link.run();
+  EXPECT_EQ(fixed_st.lost, 1U);
+  EXPECT_EQ(fixed_st.attempts_hist[8], 1U);  // 1 try + 7 retries
   EXPECT_LT(fixed_link.now_us(), fade_end);  // it never saw the fade end
 
-  mac::StopAndWaitLink backoff_link(base);
-  const auto rep = backoff_link.send(payload_of(100, 0xAB));
-  EXPECT_TRUE(rep.delivered);
-  EXPECT_GT(rep.transmissions, 1U);
-  EXPECT_GT(rep.wait_us, 0.0);
+  mac::SelectiveRepeatLink backoff_link(stop_and_wait(base));
+  backoff_link.queue(payload_of(100, 0xAB));
+  const auto& st = backoff_link.run();
+  EXPECT_EQ(st.delivered, 1U);
+  EXPECT_GT(st.retransmissions, 0U);
+  EXPECT_GT(st.wait_us, 0.0);
   EXPECT_GT(backoff_link.now_us(), fade_end);
 }
 
-mac::SrConfig sr_config(double fwd_snr, double rev_snr, std::uint64_t seed) {
-  mac::SrConfig cfg;
-  cfg.arq = link_config(fwd_snr, rev_snr, seed);
-  return cfg;
+// ------------------------------------------------ stop-and-wait pins
+//
+// Outcomes of the dedicated stop-and-wait link, recorded before it was
+// folded into SelectiveRepeatLink with window 1. Everything but the
+// backoff waits must match (the two links keyed their jitter draws
+// differently): delivery, retransmission and duplicate counts, the
+// airtime bits, the per-frame attempts histogram and the payloads the
+// peer released.
+
+struct StopAndWaitPin {
+  double snr_db;
+  std::size_t delivered;
+  std::size_t retransmissions;
+  std::size_t duplicates;
+  std::uint64_t airtime_bits;
+  std::array<std::size_t, 9> attempts_hist;
+  std::uint64_t received_hash;
+};
+
+std::uint64_t bits_of(double d) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &d, sizeof u);
+  return u;
+}
+
+/// FNV-1a over the released payloads, each prefixed by its 64-bit length.
+std::uint64_t received_hash(const std::vector<std::vector<std::uint8_t>>& rx) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint8_t b) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  };
+  for (const auto& p : rx) {
+    const auto n = static_cast<std::uint64_t>(p.size());
+    for (unsigned i = 0; i < 8; ++i) mix(static_cast<std::uint8_t>(n >> (8 * i)));
+    for (const auto b : p) mix(b);
+  }
+  return h;
+}
+
+void expect_pin(mac::SelectiveRepeatLink& link,
+                const std::vector<std::vector<std::uint8_t>>& msdus,
+                const StopAndWaitPin& pin) {
+  for (const auto& m : msdus) link.queue(m);
+  const auto& st = link.run();
+  EXPECT_EQ(st.delivered, pin.delivered);
+  EXPECT_EQ(st.lost, msdus.size() - pin.delivered);
+  EXPECT_EQ(st.retransmissions, pin.retransmissions);
+  EXPECT_EQ(st.duplicates, pin.duplicates);
+  EXPECT_EQ(bits_of(st.airtime_us), pin.airtime_bits);
+  EXPECT_EQ(st.attempts_hist, pin.attempts_hist);
+  EXPECT_EQ(received_hash(link.received()), pin.received_hash);
+}
+
+TEST(StopAndWaitPin, BenchE13PointsAreUnchanged) {
+  // bench_e13_arq's link (MCS 11 2x2 fading data, MCS 0 ACKs, seed 130),
+  // 6 of its 1000-byte MSDUs per SNR point.
+  constexpr std::array<StopAndWaitPin, 7> kPins{{
+      {6.0, 0, 42, 0, 0x40c2c00000000000ULL, {0, 0, 0, 0, 0, 0, 0, 0, 6},
+       0xcbf29ce484222325ULL},
+      {9.0, 1, 36, 0, 0x40c1000000000000ULL, {0, 0, 1, 0, 0, 0, 0, 0, 5},
+       0x3c64e6b9b097eb45ULL},
+      {12.0, 6, 12, 2, 0x40b0700000000000ULL, {0, 0, 2, 2, 2, 0, 0, 0, 0},
+       0x9dba81036f507b95ULL},
+      {15.0, 6, 7, 1, 0x40a8780000000000ULL, {0, 3, 1, 0, 2, 0, 0, 0, 0},
+       0x9dba81036f507b95ULL},
+      {18.0, 6, 1, 0, 0x409d000000000000ULL, {0, 5, 1, 0, 0, 0, 0, 0, 0},
+       0x9dba81036f507b95ULL},
+      {21.0, 6, 0, 0, 0x4099e00000000000ULL, {0, 6, 0, 0, 0, 0, 0, 0, 0},
+       0x9dba81036f507b95ULL},
+      {24.0, 6, 0, 0, 0x4099e00000000000ULL, {0, 6, 0, 0, 0, 0, 0, 0, 0},
+       0x9dba81036f507b95ULL},
+  }};
+  const std::vector<std::vector<std::uint8_t>> msdus(6, payload_of(1000, 0x42));
+  for (const auto& pin : kPins) {
+    SCOPED_TRACE(pin.snr_db);
+    mac::ArqConfig arq;
+    arq.data_phy.mcs = 11;
+    arq.ack_phy.mcs = 0;
+    arq.forward.ntx = 2;
+    arq.forward.nrx = 2;
+    arq.forward.fading = true;
+    arq.forward.snr_db = pin.snr_db;
+    arq.forward.timing_pad = 300;
+    arq.forward.tail_pad = 80;
+    arq.forward.seed = 130;
+    arq.reverse.snr_db = pin.snr_db;
+    arq.reverse.fading = true;
+    arq.reverse.timing_pad = 300;
+    arq.reverse.tail_pad = 80;
+    arq.reverse.seed = 131;
+    arq.max_retries = 7;
+    mac::SelectiveRepeatLink link(stop_and_wait(arq));
+    expect_pin(link, msdus, pin);
+  }
+}
+
+TEST(StopAndWaitPin, FileTransferExampleIsUnchanged) {
+  // examples/file_transfer.cpp: a 40 kB file in 1400-byte chunks over MCS 12
+  // 2x2 fading at 18 dB, ACKs on one stream with 2-antenna diversity.
+  mac::ArqConfig arq;
+  arq.data_phy.mcs = 12;
+  arq.ack_phy.mcs = 0;
+  arq.forward.ntx = 2;
+  arq.forward.nrx = 2;
+  arq.forward.fading = true;
+  arq.forward.snr_db = 18.0;
+  arq.forward.timing_pad = 300;
+  arq.forward.tail_pad = 80;
+  arq.forward.seed = 11;
+  arq.reverse = arq.forward;
+  arq.reverse.ntx = 1;
+  arq.reverse.nrx = 2;
+  arq.reverse.seed = 12;
+  arq.reverse.snr_db = 25.0;
+
+  std::vector<std::uint8_t> file(40 * 1024);
+  std::iota(file.begin(), file.end(), 0);
+  std::vector<std::vector<std::uint8_t>> chunks;
+  for (std::size_t off = 0; off < file.size(); off += 1400) {
+    const auto first = file.begin() + static_cast<std::ptrdiff_t>(off);
+    chunks.emplace_back(first, first + static_cast<std::ptrdiff_t>(
+                                           std::min<std::size_t>(1400, file.size() - off)));
+  }
+  mac::SelectiveRepeatLink link(stop_and_wait(arq));
+  expect_pin(link, chunks,
+             {18.0, 30, 23, 0, 0x40c74e0000000000ULL, {0, 17, 6, 5, 1, 1, 0, 0, 0},
+              0xa7bcd05dba90c069ULL});
 }
 
 TEST(SelectiveRepeat, CleanLinkDeliversAllInOrder) {
@@ -195,7 +353,7 @@ TEST(SelectiveRepeat, NoisyLinkRetransmitsButReleasesInOrder) {
   auto cfg = sr_config(8.0, 30.0, 22);
   cfg.arq.forward.fading = true;
   cfg.arq.max_retries = 10;
-  cfg.fallback_after = 0;  // isolate the window/reorder logic
+  cfg.adapt.fallback_after = 0;  // isolate the window/reorder logic
   mac::SelectiveRepeatLink link(cfg);
   for (int i = 0; i < 20; ++i) {
     link.queue(payload_of(300, static_cast<std::uint8_t>(i)));
@@ -214,7 +372,7 @@ TEST(SelectiveRepeat, NoisyLinkRetransmitsButReleasesInOrder) {
 TEST(SelectiveRepeat, LostAcksAreDeduplicatedAtPeer) {
   auto cfg = sr_config(30.0, -15.0, 23);  // ACK path hopeless
   cfg.arq.max_retries = 2;
-  cfg.fallback_after = 0;
+  cfg.adapt.fallback_after = 0;
   mac::SelectiveRepeatLink link(cfg);
   link.queue(payload_of(100, 0x31));
   link.queue(payload_of(100, 0x32));
@@ -231,8 +389,8 @@ TEST(SelectiveRepeat, McsFallsBackInFadeAndRecoversAfter) {
   auto cfg = sr_config(30.0, 30.0, 24);
   cfg.arq.max_retries = 12;
   cfg.arq.fades.push_back({0.0, 1500.0, 0.01});  // deep fade, then clean air
-  cfg.fallback_after = 2;
-  cfg.recover_after = 2;
+  cfg.adapt.fallback_after = 2;
+  cfg.adapt.recover_after = 2;
   mac::SelectiveRepeatLink link(cfg);
   for (int i = 0; i < 10; ++i) {
     link.queue(payload_of(150, static_cast<std::uint8_t>(i)));
@@ -271,7 +429,7 @@ TEST(SelectiveRepeat, DeliversInOrderAcrossSequenceWraparound) {
   auto cfg = sr_config(12.0, 30.0, 26);  // noisy enough to force retries
   cfg.arq.forward.fading = true;
   cfg.arq.max_retries = 10;
-  cfg.fallback_after = 0;
+  cfg.adapt.fallback_after = 0;
   cfg.first_frame_index = 4090;
   mac::SelectiveRepeatLink link(cfg);
   for (int i = 0; i < 12; ++i) {
@@ -432,7 +590,7 @@ TEST(SelectiveRepeat, HarqChaseCombiningRecoversCliffLink) {
   auto base = sr_config(16.0, 30.0, 27);
   base.arq.data_phy.mcs = 7;
   base.arq.max_retries = 5;
-  base.fallback_after = 0;  // hold the rate: isolate the combining gain
+  base.adapt.fallback_after = 0;  // hold the rate: isolate the combining gain
   constexpr int kFrames = 8;
 
   auto harq_cfg = base;

@@ -341,6 +341,20 @@ TEST(MuLink, UplinkBitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(MuLink, UplinkEngineConstructionErrorIsRethrown) {
+  // MultiUserChannel rejects per-user SFO, so every worker's engine throws
+  // while it is built; the run must rethrow it on the caller.
+  auto cfg = core::make_mu_link_config(2, 28.0, 2,
+                                       channel::MuDirection::kUplink);
+  cfg.user.channel.sfo_ppm = 40.0;
+  for (const std::size_t n_threads : {1UL, 2UL}) {
+    SCOPED_TRACE(n_threads);
+    core::MuLinkSimulator sim(cfg);
+    EXPECT_THROW((void)sim.run({.n_packets = 6, .n_threads = n_threads}),
+                 std::invalid_argument);
+  }
+}
+
 // ---- ReceiveSession MU mode ------------------------------------------------
 
 TEST(MuSession, ReceiveMuOneFoldsPerUserStats) {
