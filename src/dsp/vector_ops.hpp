@@ -33,11 +33,24 @@ double mix(std::span<cf32> x, double phase0, double phase_inc) noexcept;
 [[nodiscard]] std::vector<cf32> cross_correlate(std::span<const cf32> x,
                                                 std::span<const cf32> ref);
 
-/// Same correlation into caller-owned storage (resized, capacity kept).
+/// Same correlation into caller-owned storage (resized, capacity kept). The
+/// lags are computed by an AVX2 kernel, 4 at a time, when the CPU supports
+/// it (runtime dispatch) and every sample of x and ref is finite; the
+/// scalar loop is the fallback and the reference, and the two are
+/// bit-identical (same double operations in the same order per lag).
 void cross_correlate_into(std::span<const cf32> x, std::span<const cf32> ref,
                           std::vector<cf32>& out);
 
 /// Root-mean-square error between two equal-length vectors.
 [[nodiscard]] double rms_error(std::span<const cf32> a, std::span<const cf32> b);
+
+namespace detail {
+/// Test/bench hook: force cross_correlate_into onto the scalar path (true)
+/// or restore runtime dispatch (false). Not thread-safe; flip only in
+/// single-threaded harness code.
+void force_scalar_xcorr(bool force) noexcept;
+/// Whether the runtime dispatch would pick the AVX2 kernel right now.
+[[nodiscard]] bool xcorr_simd_active() noexcept;
+}  // namespace detail
 
 }  // namespace mimonet::dsp

@@ -21,13 +21,13 @@ FineSynchronizer::FineSynchronizer() {
 
 std::optional<FineSyncResult> FineSynchronizer::locate(
     std::span<const std::span<const cf32>> rx_antennas) const {
-  std::vector<std::vector<cf32>> xcorr_scratch;
-  return locate(rx_antennas, xcorr_scratch);
+  FineSyncScratch scratch;
+  return locate(rx_antennas, scratch);
 }
 
 std::optional<FineSyncResult> FineSynchronizer::locate(
     std::span<const std::span<const cf32>> rx_antennas,
-    std::vector<std::vector<cf32>>& xcorr_scratch) const {
+    FineSyncScratch& scratch) const {
   if (rx_antennas.empty()) throw std::invalid_argument("locate: no antennas");
   const std::size_t len = rx_antennas[0].size();
   for (const auto& a : rx_antennas) {
@@ -37,13 +37,23 @@ std::optional<FineSyncResult> FineSynchronizer::locate(
 
   // Cross-correlate each antenna against the LTF period; combine the two
   // repetition peaks non-coherently: m(k) = sum_ant |c(k)| + |c(k + 64)|.
-  xcorr_scratch.resize(rx_antennas.size());
-  auto& xc = xcorr_scratch;
-  for (std::size_t a = 0; a < rx_antennas.size(); ++a) {
+  // Each |c(k)| is taken once per antenna and read twice, as c(k) and as
+  // c(k + 64) of lag k - 64.
+  const std::size_t n_ant = rx_antennas.size();
+  auto& xc = scratch.xcorr;
+  xc.resize(n_ant);
+  for (std::size_t a = 0; a < n_ant; ++a) {
     dsp::cross_correlate_into(rx_antennas[a], reference_, xc[a]);
   }
   const std::size_t n_xc = xc[0].size();
   if (n_xc < kPeriod + 1) return std::nullopt;
+  auto& mag = scratch.mag;
+  if (mag.size() < n_ant * n_xc) mag.resize(n_ant * n_xc);
+  for (std::size_t a = 0; a < n_ant; ++a) {
+    for (std::size_t k = 0; k < n_xc; ++k) {
+      mag[a * n_xc + k] = std::abs(dsp::cf64(xc[a][k]));
+    }
+  }
 
   const double ref_energy = dsp::energy(reference_);
 
@@ -51,8 +61,9 @@ std::optional<FineSyncResult> FineSynchronizer::locate(
   std::size_t best_k = 0;
   for (std::size_t k = 0; k + kPeriod < n_xc; ++k) {
     double m = 0.0;
-    for (const auto& c : xc) {
-      m += std::abs(dsp::cf64(c[k])) + std::abs(dsp::cf64(c[k + kPeriod]));
+    for (std::size_t a = 0; a < n_ant; ++a) {
+      const double* ma = mag.data() + a * n_xc;
+      m += ma[k] + ma[k + kPeriod];
     }
     if (m > best) {
       best = m;

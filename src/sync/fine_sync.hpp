@@ -25,6 +25,14 @@ struct FineSyncResult {
   double peak = 0.0;
 };
 
+/// Reusable locate() scratch, owned by SyncScratch so a warm search
+/// performs no heap allocation.
+struct FineSyncScratch {
+  std::vector<std::vector<cf32>> xcorr;  ///< per-antenna cross-correlations
+  /// |c_a(k)| of every lag, antenna-major (a * lags + k). Grow-only.
+  std::vector<double> mag;
+};
+
 /// Locates the L-LTF by cross-correlating against the known 64-sample LTF
 /// period and exploiting its two back-to-back repetitions.
 class FineSynchronizer {
@@ -37,11 +45,10 @@ class FineSynchronizer {
   [[nodiscard]] std::optional<FineSyncResult> locate(
       std::span<const std::span<const cf32>> rx_antennas) const;
 
-  /// locate with caller-provided per-antenna cross-correlation scratch
-  /// (resized, capacity kept).
+  /// locate with caller-provided scratch (resized, capacity kept).
   [[nodiscard]] std::optional<FineSyncResult> locate(
       std::span<const std::span<const cf32>> rx_antennas,
-      std::vector<std::vector<cf32>>& xcorr_scratch) const;
+      FineSyncScratch& scratch) const;
 
   /// Estimate the residual CFO from the two 64-sample LTF periods starting
   /// at `ltf_payload_start` (= lltf_start + 32). Spans must reach 128

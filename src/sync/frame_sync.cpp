@@ -73,7 +73,7 @@ std::optional<FrameSyncResult> FrameSynchronizer::synchronize(
   res.detect_metric = det->peak_metric;
 
   if (cfg_.mode == TimingMode::kLtfCrossCorr) {
-    const auto fine = fine_.locate(cspans, scratch.xcorr);
+    const auto fine = fine_.locate(cspans, scratch.fine);
     if (!fine) {
       scratch.rejected_candidate = det->start;  // plateau without an L-LTF
       return std::nullopt;

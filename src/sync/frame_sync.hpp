@@ -48,7 +48,7 @@ struct SyncScratch {
   std::vector<std::vector<cf32>> corrected;    ///< CFO-corrected sync region
   std::vector<std::span<const cf32>> spans;    ///< span staging
   std::vector<std::span<const cf32>> capture_spans;  ///< vector-overload staging
-  std::vector<std::vector<cf32>> xcorr;        ///< fine-sync cross-correlations
+  FineSyncScratch fine;                        ///< fine-sync correlations
 
   // Diagnostics for the last synchronize() call that found a detector
   // candidate but rejected it (fine sync failed, implausible timing, or the

@@ -26,6 +26,7 @@
 #include "core/transmitter.hpp"
 #include "core/workspace.hpp"
 #include "eq/precoder.hpp"
+#include "sync/frame_sync.hpp"
 #include "wifi/psdu.hpp"
 
 namespace {
@@ -155,6 +156,32 @@ TEST(AllocFree, PerSymbolReferencePath) {
                             "2x2 MCS15 MMSE per-symbol", /*batched=*/false});
   expect_zero_steady_state({7, 1, eq::EqualizerType::kZeroForcing,
                             "1x1 MCS7 ZF per-symbol", /*batched=*/false});
+}
+
+// The synchronizer on its own: the fine L-LTF search keeps its per-antenna
+// correlations and their magnitudes in SyncScratch, so a warm
+// synchronize() allocates nothing.
+TEST(AllocFree, WarmSynchronizeSteadyState) {
+  core::PhyConfig phy;
+  phy.mcs = 12;
+  const core::Transmitter tx(phy);
+  const auto capture = make_capture(tx, 2, 2);
+  const std::vector<std::span<const dsp::cf32>> spans(capture.begin(),
+                                                      capture.end());
+  const sync::FrameSynchronizer fs(sync::FrameSyncConfig{});
+  sync::SyncScratch scratch;
+  const auto warm = fs.synchronize(spans, scratch);
+  ASSERT_TRUE(warm.has_value());
+  ASSERT_FALSE(scratch.fine.mag.empty());
+  {
+    const AllocGuard guard;
+    for (int i = 0; i < 4; ++i) {
+      const auto res = fs.synchronize(spans, scratch);
+      ASSERT_TRUE(res.has_value());
+      EXPECT_EQ(res->packet_start, warm->packet_start);
+    }
+    EXPECT_EQ(AllocGuard::count(), 0U) << "steady-state synchronize allocated";
+  }
 }
 
 /// 2-RX capture of `frames` PPDUs cycling through `mcs`, 500-sample gaps; a

@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <random>
+#include <string>
 
 #include "channel/impairments.hpp"
 #include "channel/mimo_channel.hpp"
 #include "core/transmitter.hpp"
 #include "dsp/rng.hpp"
+#include "dsp/vector_ops.hpp"
 #include "ofdm/symbol.hpp"
 #include "sync/fine_sync.hpp"
 #include "sync/frame_sync.hpp"
@@ -163,6 +166,49 @@ TEST(FineSync, LocatesLltfExactly) {
   ASSERT_TRUE(res.has_value());
   EXPECT_EQ(res->lltf_start, stf.size());
   EXPECT_GT(res->peak, 0.8);
+}
+
+// The L-LTF search on the dispatched cross-correlation kernel and on the
+// forced-scalar loop, over faded 1x1 and 2x2 captures: lltf_start, peak
+// and cfo_norm must carry the same bits.
+TEST(FineSync, LocateIsBitIdenticalOnScalarCorrelation) {
+  std::size_t located = 0;
+  for (const unsigned mcs : {3U, 11U}) {
+    core::PhyConfig phy;
+    phy.mcs = mcs;
+    const core::Transmitter tx(phy);
+    const std::size_t n = phy.mcs_info().nss;
+    for (unsigned seed = 1; seed <= 12; ++seed) {
+      SCOPED_TRACE("mcs " + std::to_string(mcs) + " seed " + std::to_string(seed));
+      channel::ChannelConfig ccfg;
+      ccfg.ntx = n;
+      ccfg.nrx = n;
+      ccfg.fading = true;
+      ccfg.profile = channel::DelayProfile::kTypical;
+      ccfg.snr_db = 4.0 + 2.0 * seed;
+      ccfg.cfo_norm = 3e-4;
+      ccfg.timing_pad = 40 + 7 * seed;
+      ccfg.tail_pad = 800;
+      ccfg.seed = 900 + seed;
+      channel::MimoChannel chan(ccfg);
+      const auto rx = chan.transmit(tx.transmit(std::vector<std::uint8_t>(100, 0x3C)));
+      std::vector<std::span<const cf32>> spans;
+      for (const auto& a : rx) spans.emplace_back(std::span<const cf32>(a).first(736));
+
+      const sync::FineSynchronizer fine;
+      const auto dispatch = fine.locate(spans);
+      dsp::detail::force_scalar_xcorr(true);
+      const auto scalar = fine.locate(spans);
+      dsp::detail::force_scalar_xcorr(false);
+      ASSERT_EQ(dispatch.has_value(), scalar.has_value());
+      if (!scalar) continue;
+      ++located;
+      EXPECT_EQ(dispatch->lltf_start, scalar->lltf_start);
+      EXPECT_EQ(0, std::memcmp(&dispatch->peak, &scalar->peak, sizeof(double)));
+      EXPECT_EQ(0, std::memcmp(&dispatch->cfo_norm, &scalar->cfo_norm, sizeof(double)));
+    }
+  }
+  EXPECT_GE(located, 20U) << "the faded captures should mostly lock";
 }
 
 TEST(FineSync, CfoFromLtfRepetitions) {
