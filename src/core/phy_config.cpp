@@ -1,5 +1,8 @@
 #include "core/phy_config.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 #include "wifi/preamble.hpp"
 
 namespace mimonet::core {
@@ -34,6 +37,12 @@ std::size_t FrameLayout::total_samples() const {
 
 double FrameLayout::airtime_us() const {
   return static_cast<double>(total_samples()) / 20.0;  // 20 Msps
+}
+
+std::uint16_t FrameLayout::spoofed_lsig_length() const {
+  const auto spoof =
+      static_cast<long>(std::ceil((airtime_us() - 20.0) / 4.0)) * 3 - 3;
+  return static_cast<std::uint16_t>(std::clamp<long>(spoof, 0, 0xFFF));
 }
 
 std::size_t ldpc_codeword_count(std::size_t psdu_bytes) {

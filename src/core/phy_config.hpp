@@ -82,6 +82,10 @@ struct FrameLayout {
   [[nodiscard]] std::size_t total_samples() const;
   /// PPDU air time in microseconds at 20 Msps.
   [[nodiscard]] double airtime_us() const;
+  /// L-SIG LENGTH of this PPDU: the spoofed legacy length that makes an
+  /// 11a device defer for the whole PPDU (802.11n eq. 20-11 shape,
+  /// LENGTH = ceil((TXTIME - 20 us) / 4 us) * 3 - 3), clamped to 12 bits.
+  [[nodiscard]] std::uint16_t spoofed_lsig_length() const;
 };
 
 /// Number of HT data OFDM symbols needed for a PSDU of `psdu_bytes` at the

@@ -208,14 +208,8 @@ void Transmitter::ensure_sig_carriers(std::size_t psdu_size, TxWorkspace& ws) co
                                 cfg_.stbc};
   if (ws.sig_key == key) return;
 
-  const FrameLayout fl = layout(psdu_size);
   wifi::LSig lsig;
-  // Spoofed legacy length so 11a devices defer for the whole PPDU
-  // (802.11n eq. 20-11 shape): LENGTH = ceil((TXTIME - 20us) / 4us) * 3 - 3.
-  const double txtime_us = fl.airtime_us();
-  const auto spoof =
-      static_cast<long>(std::ceil((txtime_us - 20.0) / 4.0)) * 3 - 3;
-  lsig.length = static_cast<std::uint16_t>(std::clamp<long>(spoof, 0, 0xFFF));
+  lsig.length = layout(psdu_size).spoofed_lsig_length();
   const auto lsig_bits = wifi::encode_lsig(lsig);
   ws.lsig_carriers = wifi::map_sig_field(lsig_bits, /*qbpsk=*/false);
 

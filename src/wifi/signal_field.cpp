@@ -93,6 +93,7 @@ std::optional<HtSig> decode_htsig(std::span<const std::uint8_t> bits) {
     got = static_cast<std::uint8_t>((got << 1U) | (bits[34 + i] & 1U));
   }
   if (got != expected) return std::nullopt;
+  if (bits[26] == 0) return std::nullopt;  // reserved, always 1
   HtSig sig;
   sig.mcs = static_cast<std::uint8_t>(get_bits(bits, 0, 7));
   sig.cbw40 = bits[7] != 0;
@@ -104,6 +105,7 @@ std::optional<HtSig> decode_htsig(std::span<const std::uint8_t> bits) {
   sig.fec_coding = bits[30] != 0;
   sig.short_gi = bits[31] != 0;
   sig.n_ess = static_cast<std::uint8_t>(get_bits(bits, 32, 2));
+  if (sig.cbw40 || sig.short_gi || sig.n_ess != 0) return std::nullopt;
   return sig;
 }
 

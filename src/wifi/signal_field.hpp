@@ -17,15 +17,20 @@ namespace mimonet::wifi {
 
 using dsp::cf32;
 
+/// L-SIG RATE bits of 6 Mb/s, the rate every HT-mixed PPDU announces.
+inline constexpr std::uint8_t kLsigRate6Mbps = 0b1011;
+
 /// Legacy SIGNAL field contents.
 struct LSig {
-  std::uint8_t rate_bits = 0b1011;  // 6 Mb/s tag; HT frames always use it
+  std::uint8_t rate_bits = kLsigRate6Mbps;  // HT frames always use it
   std::uint16_t length = 0;         // 12-bit spoofed legacy length
 
   friend bool operator==(const LSig&, const LSig&) = default;
 };
 
-/// HT-SIG field contents (the subset meaningful to this PHY).
+/// HT-SIG field contents (the subset meaningful to this PHY). cbw40,
+/// short_gi and n_ess exist so the field round-trips; this PHY sends none
+/// of them, and decode_htsig rejects a field that sets one.
 struct HtSig {
   std::uint8_t mcs = 0;        // 7 bits
   bool cbw40 = false;          // always false here (20 MHz only)
@@ -51,7 +56,11 @@ struct HtSig {
 /// 34 bits, then 6 tail zeros).
 [[nodiscard]] std::vector<std::uint8_t> encode_htsig(const HtSig& sig);
 
-/// Parse 48 HT-SIG bits; nullopt when the CRC check fails.
+/// Parse 48 HT-SIG bits; nullopt when the CRC check fails or the content
+/// is one this PHY never sends: the reserved bit (bit 26) cleared, 40 MHz,
+/// short GI, or extension spatial streams (n_ess != 0). CRC-8 passes on 1
+/// in 256 random fields, so the content rule is what keeps a false sync
+/// from announcing a frame.
 [[nodiscard]] std::optional<HtSig> decode_htsig(std::span<const std::uint8_t> bits);
 
 /// Convolutionally encode (rate 1/2, zero start state, tail embedded in the

@@ -2,6 +2,7 @@
 // Viterbi decoder.
 #include <gtest/gtest.h>
 
+#include "fec/crc.hpp"
 #include "fec/viterbi.hpp"
 #include "wifi/signal_field.hpp"
 
@@ -61,6 +62,55 @@ TEST(HtSig, CrcDetectsEveryProtectedBitFlip) {
     bad[i] ^= 1U;
     EXPECT_FALSE(decode_htsig(bad).has_value()) << "bit " << i;
   }
+}
+
+/// Re-seal edited HT-SIG bits: CRC-8 over the first 34, MSB first.
+void reseal_htsig(std::vector<std::uint8_t>& bits) {
+  const std::uint8_t crc =
+      mimonet::fec::crc8_bits(std::span<const std::uint8_t>(bits).first(34));
+  for (std::size_t i = 0; i < 8; ++i) {
+    bits[34 + i] = static_cast<std::uint8_t>((crc >> (7 - i)) & 1U);
+  }
+}
+
+// Content this PHY never sends is rejected even under a valid CRC-8: a false
+// sync's HT-SIG passes the CRC on 1 in 256 candidates, and each rule below
+// halves (n_ess: quarters) what such a field may announce.
+TEST(HtSig, ClearedReservedBitRejected) {
+  auto bits = encode_htsig(HtSig{.mcs = 7, .length = 256});
+  ASSERT_EQ(bits[26], 1U);
+  bits[26] = 0;
+  reseal_htsig(bits);
+  EXPECT_FALSE(decode_htsig(bits).has_value());
+  bits[26] = 1;
+  reseal_htsig(bits);
+  EXPECT_TRUE(decode_htsig(bits).has_value());
+}
+
+TEST(HtSig, FortyMegahertzRejected) {
+  EXPECT_FALSE(decode_htsig(encode_htsig(HtSig{.mcs = 7, .cbw40 = true})).has_value());
+}
+
+TEST(HtSig, ShortGuardIntervalRejected) {
+  EXPECT_FALSE(decode_htsig(encode_htsig(HtSig{.mcs = 7, .short_gi = true})).has_value());
+}
+
+TEST(HtSig, ExtensionSpatialStreamsRejected) {
+  for (std::uint8_t n_ess = 1; n_ess <= 3; ++n_ess) {
+    EXPECT_FALSE(decode_htsig(encode_htsig(HtSig{.mcs = 7, .n_ess = n_ess})).has_value())
+        << "n_ess " << int{n_ess};
+  }
+}
+
+TEST(HtSig, EveryOtherFieldStillDecodes) {
+  // The rules reject only the four contents above: MCS, length, smoothing,
+  // sounding, aggregation, STBC and the FEC bit pass through as sent.
+  const HtSig sig{.mcs = 100, .length = 40000, .smoothing = false,
+                  .not_sounding = false, .aggregation = true, .stbc = 3,
+                  .fec_coding = true};
+  const auto back = decode_htsig(encode_htsig(sig));
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(*back, sig);
 }
 
 TEST(HtSig, WrongSizeRejected) {
