@@ -220,6 +220,88 @@ TEST(ReceiverFarm, PacketStraddlingShardBoundaryDecodesExactlyOnce) {
   }
 }
 
+// A CW tone burst in the gap between two frames costs two false candidates
+// 80 samples apart, and the second one's L-LTF lies before its window, so
+// it asks for a rewind onto the first. Each case puts a shard boundary
+// between the two: the shard that owns the first candidate has stopped by
+// the time the next shard, scanning its lead-in, meets the rewind. A
+// rewind that re-decoded the first candidate would make the sequential scan
+// report it twice and the farm once.
+TEST(ReceiverFarm, ToneBurstRewindAcrossShardBoundary) {
+  // Two frames and the tone, through the channel once. The block sits in
+  // exact zeros, so moving it moves every scan event with it.
+  core::PhyConfig phy;  // SISO MCS 0
+  const core::Transmitter tx(phy);
+  std::vector<std::vector<cf32>> chains(1);
+  std::vector<std::vector<std::uint8_t>> psdus;
+  std::size_t gap_start = 0;
+  for (std::uint8_t p = 0; p < 2; ++p) {
+    psdus.push_back(wifi::build_psdu(wifi::MacHeader{},
+                                     std::vector<std::uint8_t>(300, 0x33 + p)));
+    const auto ppdu = tx.transmit(psdus.back())[0];
+    chains[0].insert(chains[0].end(), ppdu.begin(), ppdu.end());
+    if (p == 0) {
+      gap_start = chains[0].size();
+      chains[0].resize(gap_start + 900);
+    }
+  }
+  channel::ChannelConfig ccfg;
+  ccfg.snr_db = 30.0;
+  ccfg.cfo_norm = 2e-4;
+  ccfg.timing_pad = 200;
+  ccfg.tail_pad = 100;
+  ccfg.seed = 0x601DE;
+  ccfg.faults.tone_burst(ccfg.timing_pad + gap_start + 150, 240, 3.0, 0.07);
+  channel::MimoChannel chan(ccfg);
+  const auto block = chan.transmit(chains)[0];
+  const std::size_t len = 3 * block.size();
+
+  const auto embed = [&](std::size_t at) {
+    Scenario s;
+    s.phy = phy;
+    s.psdus = psdus;
+    s.max_frame_len = tx.layout(psdus[0].size()).total_samples();
+    s.capture.assign(1, std::vector<cf32>(len, cf32{}));
+    std::copy(block.begin(), block.end(), s.capture[0].begin() + static_cast<long>(at));
+    return s;
+  };
+  // The first false candidate, relative to the block.
+  const auto probe = baseline_scan(embed(0), tight_cfg(embed(0), 1, 1));
+  ASSERT_EQ(probe.stats.delivered, 2U);
+  std::size_t first_false = 0;
+  for (const auto& r : probe.recs) {
+    if (r.error != metrics::RxError::kOk) {
+      first_false = r.offset;
+      break;
+    }
+  }
+  ASSERT_GT(first_false, 0U);
+
+  for (const std::size_t shards : {2U, 3U, 4U, 7U}) {
+    // The first boundary past the candidate's block offset, 40 samples
+    // after the candidate.
+    std::size_t boundary = 0;
+    for (std::size_t i = 1; i < shards && boundary < first_false + 40; ++i) {
+      boundary = len * i / shards;
+    }
+    ASSERT_GE(boundary, first_false + 40);
+    const auto s = embed(boundary - 40 - first_false);
+    const auto label = "shards=" + std::to_string(shards);
+    const auto ref = baseline_scan(s, tight_cfg(s, 1, 1));
+    ASSERT_EQ(ref.stats.delivered, 2U) << label;
+    std::vector<std::size_t> offsets;
+    for (const auto& r : ref.recs) offsets.push_back(r.offset);
+    ASSERT_NE(std::find(offsets.begin(), offsets.end(), boundary - 40), offsets.end())
+        << label << ": the first false candidate moved";
+    ASSERT_NE(std::find(offsets.begin(), offsets.end(), boundary + 40), offsets.end())
+        << label << ": the rewinding candidate moved";
+    std::sort(offsets.begin(), offsets.end());
+    EXPECT_EQ(std::adjacent_find(offsets.begin(), offsets.end()), offsets.end()) << label;
+    const auto got = farm_scan(s, tight_cfg(s, 2, shards));
+    expect_identical(ref, got, label);
+  }
+}
+
 TEST(ReceiverFarm, FaultedCaptureEquivalence) {
   // Corrupt the data field of packet 2 of 4 so the scan sees an FCS failure
   // and resynchronizes; the sharded scan must report the identical taxonomy.
