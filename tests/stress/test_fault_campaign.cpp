@@ -14,18 +14,24 @@
 // applies it and echoes it into ChannelTruth as ground truth.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "../sig_rewrite.hpp"
 #include "channel/fault_plan.hpp"
 #include "channel/mimo_channel.hpp"
+#include "core/receive_session.hpp"
+#include "core/receiver_farm.hpp"
 #include "core/stream_receiver.hpp"
 #include "core/transmitter.hpp"
 #include "core/workspace.hpp"
 #include "mac/arq.hpp"
+#include "stress_util.hpp"
 #include "wifi/psdu.hpp"
 
 namespace {
@@ -394,6 +400,134 @@ TEST(FaultCampaign, EvidencePolicyStillFallsBackInAGenuineFade) {
   const auto& stats = link.run();
   EXPECT_GT(stats.mcs_fallbacks, 0U);  // classified as channel, stepped down
   EXPECT_GT(stats.delivered, 20U);     // and the lower rate carried the mail
+}
+
+// ---- The SIG invariant. A false sync's L-SIG passes parity on half of all
+// candidates and its HT-SIG passes CRC-8 on 1 in 256, so the scan sees
+// arbitrary SIG contents under valid checks. Here the first of four real
+// frames carries such contents on purpose; whatever they announce, every
+// frame after it must be delivered, by the sequential scan and by the farm
+// at 2 and 4 shards. ----
+
+/// Random L-SIG and HT-SIG contents. Even draws keep the HT-SIG within what
+/// decode_htsig accepts (20 MHz, long GI, no extension streams) and within
+/// the modes the receiver decodes (MCS 0-15, STBC only on one stream), so
+/// it decodes on with the false geometry; odd draws randomize every field.
+std::pair<wifi::LSig, wifi::HtSig> random_sigs(stress::SeedStream& rng, bool full) {
+  const auto bits = [&rng](unsigned n) {
+    return static_cast<std::uint32_t>(rng.next_u64() & ((1ULL << n) - 1));
+  };
+  wifi::LSig lsig;
+  lsig.rate_bits = static_cast<std::uint8_t>(bits(4));
+  lsig.length = static_cast<std::uint16_t>(bits(12));
+  wifi::HtSig htsig;
+  htsig.mcs = static_cast<std::uint8_t>(full ? bits(7) : bits(4));
+  // Short lengths put the false extent inside the capture, long ones past
+  // its end.
+  htsig.length = static_cast<std::uint16_t>(bits(bits(1) != 0 ? 10 : 16));
+  htsig.smoothing = bits(1) != 0;
+  htsig.not_sounding = bits(1) != 0;
+  htsig.aggregation = bits(1) != 0;
+  htsig.stbc = static_cast<std::uint8_t>(full ? bits(2) : bits(1) & (htsig.mcs < 8));
+  htsig.fec_coding = bits(1) != 0;
+  if (full) {
+    htsig.cbw40 = bits(1) != 0;
+    htsig.short_gi = bits(1) != 0;
+    htsig.n_ess = static_cast<std::uint8_t>(bits(2));
+  }
+  return {lsig, htsig};
+}
+
+TEST(FaultCampaign, RandomSigContentsHideNoFollower) {
+  constexpr std::size_t kFrames = 4;
+  constexpr std::size_t kGapLen = 500;
+  stress::SeedStream rng(0x516C0DE);
+  std::size_t false_geometry = 0;  // trials decoded under the planted HT-SIG
+  for (unsigned trial = 0; trial < 40; ++trial) {
+    core::PhyConfig phy;
+    phy.mcs = (trial % 4 < 2) ? 4 : 12;  // 1x1 16-QAM, 2x2 16-QAM
+    const core::Transmitter tx(phy);
+    const std::size_t nss = tx.num_streams();
+    const auto [lsig, htsig] = random_sigs(rng, trial % 2 == 1);
+    SCOPED_TRACE(::testing::Message()
+                 << "trial " << trial << " mcs " << phy.mcs << " L-SIG rate "
+                 << int{lsig.rate_bits} << " len " << lsig.length << " HT-SIG mcs "
+                 << int{htsig.mcs} << " len " << htsig.length << " stbc "
+                 << int{htsig.stbc} << " ldpc " << htsig.fec_coding << " cbw40 "
+                 << htsig.cbw40 << " sgi " << htsig.short_gi << " n_ess "
+                 << int{htsig.n_ess});
+
+    std::vector<std::vector<std::uint8_t>> psdus;
+    std::vector<std::vector<cf32>> concat(nss);
+    std::size_t max_frame = 0;
+    for (std::size_t p = 0; p < kFrames; ++p) {
+      psdus.push_back(wifi::build_psdu(
+          wifi::MacHeader{},
+          std::vector<std::uint8_t>(150 + 11 * p, static_cast<std::uint8_t>(trial + p))));
+      auto streams = tx.transmit(psdus.back());
+      if (p == 0) testutil::rewrite_sig_symbols(streams, lsig, htsig);
+      max_frame = std::max(max_frame, streams[0].size());
+      for (std::size_t c = 0; c < nss; ++c) {
+        concat[c].insert(concat[c].end(), streams[c].begin(), streams[c].end());
+        concat[c].resize(concat[c].size() + kGapLen, cf32{});
+      }
+    }
+    channel::ChannelConfig ccfg;
+    ccfg.ntx = nss;
+    ccfg.nrx = nss;
+    ccfg.snr_db = 30.0;
+    ccfg.timing_pad = 300;
+    ccfg.tail_pad = 100;
+    ccfg.seed = 7100 + trial;
+    channel::MimoChannel chan(ccfg);
+    const auto capture = chan.transmit(concat);
+    const std::vector<std::span<const cf32>> spans(capture.begin(), capture.end());
+
+    const auto expect_followers = [&](const std::vector<core::StreamRecord>& recs,
+                                      const char* path) {
+      for (std::size_t p = 1; p < kFrames; ++p) {
+        const auto hit = std::count_if(recs.begin(), recs.end(), [&](const auto& r) {
+          return r.error == metrics::RxError::kOk && r.packet.psdu == psdus[p];
+        });
+        EXPECT_EQ(hit, 1) << path << ": follower " << p;
+      }
+    };
+    const auto collect = [](std::vector<core::StreamRecord>& out) {
+      return [&out](const core::StreamEvent& ev) {
+        core::StreamRecord rec;
+        rec.offset = ev.offset;
+        rec.error = ev.error;
+        if (ev.packet != nullptr) {
+          rec.has_packet = true;
+          rec.packet = *ev.packet;
+        }
+        out.push_back(std::move(rec));
+      };
+    };
+
+    const core::StreamReceiver srx(phy, nss);
+    const auto sequential = srx.receive_all(capture);
+    expect_followers(sequential, "sequential");
+    if (!sequential.empty() && sequential[0].has_packet &&
+        sequential[0].packet.htsig_ok && sequential[0].packet.htsig == htsig) {
+      ++false_geometry;
+    }
+
+    for (const std::size_t shards : {2U, 4U}) {
+      core::ReceiverFarm farm(phy, nss,
+                              core::ReceiveSessionConfig::make()
+                                  .workers(2)
+                                  .shards(shards)
+                                  .seam(max_frame + 1024)
+                                  .build());
+      std::vector<core::StreamRecord> recs;
+      core::StreamStats stats;
+      farm.scan(spans, stats, collect(recs));
+      expect_followers(recs, shards == 2 ? "farm 2 shards" : "farm 4 shards");
+    }
+  }
+  // The dangerous case must be exercised, not just the rejected contents.
+  EXPECT_GE(false_geometry, 10U);
 }
 
 }  // namespace
