@@ -12,6 +12,7 @@
 #   scripts/check.sh decode-smoke # E21 batched-decode bench + "decode" schema + diff
 #   scripts/check.sh mu-smoke     # E22 multi-user bench + "mu" schema + diff
 #   scripts/check.sh harq-smoke   # E23 HARQ/adaptation bench + "harq" schema + diff
+#   scripts/check.sh perf-smoke   # perfbench smoke test + stream_long gates on 4 seeds
 #
 # Build trees are kept per-configuration (build/, build-asan/, build-tsan/)
 # so incremental re-runs are cheap.
@@ -21,7 +22,7 @@ cd "$(dirname "$0")/.."
 
 configs=("$@")
 if [ ${#configs[@]} -eq 0 ]; then
-  configs=(plain asan tsan bench-smoke farm-smoke scan-smoke decode-smoke mu-smoke harq-smoke)
+  configs=(plain asan tsan bench-smoke farm-smoke scan-smoke decode-smoke mu-smoke harq-smoke perf-smoke)
 fi
 
 run_config() {
@@ -366,6 +367,27 @@ EOF
   return "$rc"
 }
 
+# Repository-benchmark smoke. The ctest suite never builds perfbench/, so a
+# library change that breaks its build or its correctness gates would go
+# unseen until a benchmark run. perfbench/smoke_test.py runs every workload
+# at tiny size, untraced and traced (the traced run gates the stage replay
+# bit-identical to Receiver::receive). Then full-size stream_long at seeds
+# whose captures each once hid real frames behind a false sync (29, 35, 97:
+# a lucky HT-SIG; 59: a rewind repeat straddling a shard boundary); each
+# run exits nonzero unless all 256 frames are delivered and the sharded
+# scan's records equal the 1-worker scan's.
+run_perf_smoke() {
+  echo "==== [perf-smoke] perfbench smoke test ===="
+  python3 perfbench/smoke_test.py || return 1
+  local seed
+  for seed in 29 35 59 97; do
+    echo "==== [perf-smoke] stream_long seed $seed ===="
+    python3 perfbench/run.py --workload stream_long --seed "$seed" \
+      --seconds 1 --trace 0 | tail -n 1 || {
+      echo "stream_long seed $seed failed its gates" >&2; return 1; }
+  done
+}
+
 for cfg in "${configs[@]}"; do
   case "$cfg" in
     plain)
@@ -389,8 +411,10 @@ for cfg in "${configs[@]}"; do
       run_mu_smoke ;;
     harq-smoke)
       run_harq_smoke ;;
+    perf-smoke)
+      run_perf_smoke ;;
     *)
-      echo "unknown config: $cfg (want plain|asan|tsan|bench-smoke|farm-smoke|scan-smoke|decode-smoke|mu-smoke|harq-smoke)" >&2
+      echo "unknown config: $cfg (want plain|asan|tsan|bench-smoke|farm-smoke|scan-smoke|decode-smoke|mu-smoke|harq-smoke|perf-smoke)" >&2
       exit 2 ;;
   esac
 done
