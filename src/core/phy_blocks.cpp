@@ -163,25 +163,26 @@ std::size_t ReceiverBlock::process_window(bool flush) {
     scan_events_.push_back(std::move(rec));
   });
 
-  // Pick the consume point. A scan ending in a truncated candidate means
-  // that frame is still streaming in: hold the window at its start and
-  // wait. Otherwise drop everything but the overlap tail, extended past
-  // the last decoded frame's extent.
-  const bool ends_truncated =
-      !scan_events_.empty() &&
-      scan_events_.back().error == metrics::RxError::kTruncated;
+  // Pick the consume point. A truncated candidate may be a frame still
+  // streaming in: hold the window at the first one and wait. (The scan goes
+  // on past a truncated frame whose extent nothing but HT-SIG announces, so
+  // that one need not be the last event.) Otherwise drop everything but the
+  // overlap tail, extended past every corroborated frame extent.
+  const auto truncated = std::find_if(
+      scan_events_.begin(), scan_events_.end(), [](const StreamRecord& rec) {
+        return rec.error == metrics::RxError::kTruncated;
+      });
   std::size_t consume;
   if (flush) {
     consume = len;
-  } else if (ends_truncated) {
-    consume = scan_events_.back().offset;
+  } else if (truncated != scan_events_.end()) {
+    consume = truncated->offset;
   } else {
     consume = len > kOverlap ? len - kOverlap : 0;
     for (const auto& rec : scan_events_) {
-      if (rec.has_packet && rec.packet.htsig_ok) {
-        if (const auto ext = decoded_frame_samples(rec.packet, srx_.config())) {
-          consume = std::max(consume, std::min(len, rec.offset + *ext));
-        }
+      if (!rec.has_packet) continue;
+      if (const auto ext = corroborated_frame_samples(rec.packet, srx_.config())) {
+        consume = std::max(consume, std::min(len, rec.offset + *ext));
       }
     }
   }

@@ -68,7 +68,7 @@ TEST(BoundedWork, ReceiveCopiesOnlyItsFrame) {
 
   core::RxWorkspace ws_tail;
   ASSERT_TRUE(rx.receive(spans_of(tailed), ws_tail));
-  const auto frame = core::decoded_frame_samples(ws_tail.packet, phy);
+  const auto frame = core::corroborated_frame_samples(ws_tail.packet, phy);
   ASSERT_TRUE(frame.has_value());
   ASSERT_EQ(ws_tail.rx.size(), 2U);
   for (const auto& a : ws_tail.rx) EXPECT_EQ(a.size(), *frame);

@@ -1,8 +1,15 @@
 // Streaming PHY blocks: the GNU-Radio-style TX -> channel -> RX pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
 #include "core/phy_blocks.hpp"
+#include "dsp/rng.hpp"
+#include "flowgraph/blocks.hpp"
 #include "flowgraph/graph.hpp"
+#include "sig_rewrite.hpp"
+#include "wifi/preamble.hpp"
 #include "wifi/psdu.hpp"
 
 namespace {
@@ -99,6 +106,115 @@ TEST(PhyBlocks, BackToBackPacketsAllDecode) {
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(parsed->header.sequence_control, i << 4U);
   }
+}
+
+TEST(PhyBlocks, FrameWithDestroyedLsigAcrossAttemptWindowIsDelivered) {
+  // Only HT-SIG announces this frame's extent, so the scan does not trust
+  // it: a window that ends mid-frame scans on past the truncated candidate.
+  // The block must still hold the window at that frame until the rest of
+  // it has streamed in.
+  core::PhyConfig phy;
+  phy.mcs = 0;
+  const core::Transmitter tx(phy);
+  const auto psdu = make_psdus(1, 300)[0];
+  const auto layout = tx.layout(psdu.size());
+
+  channel::ChannelConfig ccfg;
+  ccfg.ntx = 1;
+  ccfg.nrx = 1;
+  ccfg.snr_db = 30.0;
+  ccfg.timing_pad = 400;
+  ccfg.tail_pad = 150;
+  channel::MimoChannel chan(ccfg);
+  auto capture = chan.transmit(tx.transmit(psdu));
+  const std::size_t start = chan.truth().packet_start;
+  dsp::ComplexGaussian noise(2, 4.0);  // loud garbage over the L-SIG
+  for (std::size_t i = 0; i < wifi::kLsigLen; ++i) {
+    capture[0][start + layout.lsig_offset() + i] = noise.sample();
+  }
+
+  // Samples stream in 512 at a time; the first scan sees the frame's
+  // preamble and about half of its data.
+  const std::size_t attempt_window = start + layout.total_samples() / 2;
+  auto src = std::make_shared<flowgraph::VectorSource<cf32>>(capture[0]);
+  auto rx = std::make_shared<core::ReceiverBlock>(phy, 1, attempt_window);
+  flowgraph::Graph g;
+  g.add(src);
+  g.add(rx);
+  g.connect<cf32>(*src, 0, *rx, 0, 512);
+  flowgraph::run_single_threaded(g);
+
+  EXPECT_EQ(rx->stats().delivered, 1U);
+  EXPECT_EQ(rx->stats().errors.count(metrics::RxError::kTruncated), 0U);
+  const auto delivered =
+      std::find_if(rx->packets().begin(), rx->packets().end(),
+                   [](const core::RxPacket& p) { return p.fcs_ok; });
+  ASSERT_NE(delivered, rx->packets().end());
+  EXPECT_FALSE(delivered->lsig_ok);
+  EXPECT_EQ(delivered->psdu, psdu);
+}
+
+TEST(PhyBlocks, UncorroboratedExtentKeepsTheWindowTail) {
+  // Frame A carries a well-formed HT-SIG whose extent ends a few samples
+  // into frame B's L-STF; A's real L-SIG disagrees and its FCS fails, so
+  // nothing corroborates that extent. The first window ends where the
+  // extent does, too early to detect B: the block must keep B's first
+  // samples for the next scan instead of consuming through A's extent.
+  core::PhyConfig phy;
+  phy.mcs = 0;
+  const core::Transmitter tx(phy);
+  const auto psdus = make_psdus(2, 300);
+  auto a = tx.transmit(psdus[0]);
+  const auto b = tx.transmit(psdus[1]);
+  constexpr std::size_t kGap = 600;
+  const std::size_t b_from_a = a[0].size() + kGap;
+  std::uint16_t len = 1;  // smallest MCS 0 frame that reaches into B
+  while (core::FrameLayout{1, core::data_symbol_count(wifi::mcs_info(0), len, true)}
+             .total_samples() <= b_from_a) {
+    ++len;
+  }
+  const std::size_t extent =
+      core::FrameLayout{1, core::data_symbol_count(wifi::mcs_info(0), len, true)}
+          .total_samples();
+  testutil::rewrite_sig_symbols(
+      a, wifi::LSig{.length = tx.layout(psdus[0].size()).spoofed_lsig_length()},
+      wifi::HtSig{.mcs = 0, .length = len});
+  std::vector<std::vector<cf32>> concat{a[0]};
+  concat[0].resize(b_from_a, cf32{});
+  concat[0].insert(concat[0].end(), b[0].begin(), b[0].end());
+
+  channel::ChannelConfig ccfg;
+  ccfg.ntx = 1;
+  ccfg.nrx = 1;
+  ccfg.snr_db = 30.0;
+  ccfg.timing_pad = 400;
+  ccfg.tail_pad = 150;
+  channel::MimoChannel chan(ccfg);
+  const auto capture = chan.transmit(concat)[0];
+  // A few samples of slack so A's announced extent is not truncated.
+  const std::size_t first_window = chan.truth().packet_start + extent + 8;
+  ASSERT_LT(first_window - (chan.truth().packet_start + b_from_a), 100U);
+
+  auto rx = std::make_shared<core::ReceiverBlock>(phy, 1, first_window);
+  auto buf = std::make_shared<flowgraph::RingBuffer<cf32>>(capture.size());
+  rx->bind_input(0, buf);
+  const std::span<const cf32> all(capture);
+  buf->write(all.first(first_window));
+  rx->work();
+  buf->write(all.subspan(first_window));
+  buf->mark_done();
+  while (rx->work() != flowgraph::WorkStatus::kDone) {
+  }
+
+  ASSERT_FALSE(rx->packets().empty());
+  EXPECT_EQ(rx->packets()[0].error, metrics::RxError::kFcsFail);
+  EXPECT_EQ(rx->packets()[0].htsig.length, len);
+  EXPECT_EQ(rx->stats().delivered, 1U);
+  const auto delivered =
+      std::find_if(rx->packets().begin(), rx->packets().end(),
+                   [](const core::RxPacket& p) { return p.fcs_ok; });
+  ASSERT_NE(delivered, rx->packets().end());
+  EXPECT_EQ(delivered->psdu, psdus[1]);
 }
 
 TEST(PhyBlocks, TransmitterTagsPacketStarts) {
