@@ -201,8 +201,8 @@ void ReceiverFarm::scan(std::span<const std::span<const cf32>> capture,
   mode_ = Mode::kShards;
   dispatch(n_win);
 
-  // Merge in shard order: ownership partitions [0, len) in ascending
-  // ranges, so concatenating per-shard events reproduces stream order.
+  // Merge in shard order: each shard owns the next stretch of the scan
+  // path, so concatenating per-shard events reproduces stream order.
   for (std::size_t j = 0; j < n_win; ++j) {
     stats.merge(shard_stats_[j]);
     RecordBuffer& rb = shard_records_[j];

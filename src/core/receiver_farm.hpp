@@ -4,10 +4,12 @@
 // concurrently with overlap-save seams. Each worker scans its shard plus a
 // seam-wide lead-in (to re-align if the shard boundary fell mid-packet) and
 // sees a seam-wide tail past its shard (so an owned frame that straddles the
-// boundary decodes fully), but reports only candidates whose frame start it
-// owns — so every packet is decoded exactly once and the merged event
-// stream and statistics are bit-identical to a single-threaded
-// StreamReceiver::scan for any shard and worker count.
+// boundary decodes fully), but reports only the stretch of the scan path it
+// owns: from its first candidate at or past the shard start (rewinds below
+// it included) up to its first candidate at or past the shard end — so
+// every packet is decoded exactly once and the merged event stream and
+// statistics are bit-identical to a single-threaded StreamReceiver::scan
+// for any shard and worker count.
 //
 // Base-station mode (`run`) multiplexes many independent per-user streams
 // over the same pool: jobs are dealt round-robin onto per-worker deques,

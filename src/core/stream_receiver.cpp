@@ -82,10 +82,6 @@ void StreamReceiver::scan_window(std::span<const std::span<const cf32>> capture,
   }
   if (window.begin >= stop) return;
 
-  const auto owned = [&](std::size_t offset) {
-    return offset >= window.own_begin && offset < window.own_end;
-  };
-
   // The scan window lives on the stack (Receiver caps nrx at 4), so the
   // loop stays allocation-free regardless of how `capture` was staged.
   std::array<std::span<const cf32>, 4> view{};
@@ -97,6 +93,12 @@ void StreamReceiver::scan_window(std::span<const std::span<const cf32>> capture,
   // additionally floored at the window start — a windowed scan never backs
   // into samples it was not given to own or align on.
   std::size_t rewind_barrier = window.begin;
+  // Ownership follows the scan path, not the offset: the window owns its
+  // events from its first candidate at or past own_begin on, rewinds below
+  // own_begin included, and stops at its first candidate at or past
+  // own_end, before emitting it or rewinding from it. Adjacent windows that
+  // align on the same scan path therefore split it exactly once.
+  bool entered = false;
 
   // The soft-combining state belongs to the first synced candidate (the
   // harq overloads are documented single-frame-capture helpers). Once that
@@ -123,7 +125,9 @@ void StreamReceiver::scan_window(std::span<const std::span<const cf32>> capture,
 
     // Every other classification comes with a synchronized candidate.
     const std::size_t frame_start = pos + pkt.sync.packet_start;
-    const bool ours = owned(frame_start);
+    if (frame_start >= window.own_end) break;
+    entered = entered || frame_start >= window.own_begin;
+    const bool ours = entered;
     if (ours) {
       stats.errors.add(err);
       on_event(StreamEvent{frame_start, err, &pkt});

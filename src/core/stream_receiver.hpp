@@ -111,12 +111,14 @@ struct StreamRecord {
 
 /// Restriction of a scan to a window of the capture — the overlap-save
 /// primitive the sharded farm is built on. The scan iterates from `begin`
-/// while its position stays below `stop`, sees no samples at or beyond
-/// `visible_end`, and delivers events (and counts stats) only for
-/// candidates whose frame start lies in [own_begin, own_end). Everything
-/// outside the ownership range is still *decoded* when encountered — that
-/// is what re-aligns a scan that entered mid-packet — but is someone else's
-/// to report.
+/// while its position stays below `stop` and sees no samples at or beyond
+/// `visible_end`. Ownership follows the scan path: the window delivers
+/// events (and counts stats) from its first candidate whose frame start
+/// is at or past `own_begin` on — a rewind below own_begin after that stays
+/// its own — and ends at its first candidate at or past `own_end` without
+/// reporting it or rewinding from it. Candidates before entry are still
+/// *decoded* — that is what re-aligns a scan that entered mid-packet — but
+/// are someone else's to report.
 struct ScanWindow {
   std::size_t begin = 0;
   std::size_t stop = static_cast<std::size_t>(-1);

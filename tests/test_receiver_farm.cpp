@@ -302,6 +302,68 @@ TEST(ReceiverFarm, ToneBurstRewindAcrossShardBoundary) {
   }
 }
 
+// A frame right behind a CW tone: the tone's candidate hops 80 samples
+// into the frame's L-STF, and that candidate's L-LTF lies before its
+// window, so the scan rewinds onto the frame. Each case puts a shard
+// boundary between the frame's start and the candidate that rewinds onto
+// it. Ownership follows the scan path: the shard that stops at the
+// candidate leaves it, and the rewind it causes, to the next shard, which
+// owns the rewound frame although it starts below that shard's range.
+TEST(ReceiverFarm, RewindBelowShardStartStaysWithTheShardThatRewinds) {
+  core::PhyConfig phy;  // SISO MCS 0
+  const core::Transmitter tx(phy);
+  const auto psdu = wifi::build_psdu(wifi::MacHeader{},
+                                     std::vector<std::uint8_t>(100, 0x6B));
+  const auto frame = tx.transmit(psdu)[0];
+  constexpr std::size_t kFrameAt = 9920;
+  constexpr std::size_t kToneLen = 240;
+  constexpr std::size_t kToneAt = kFrameAt - 144 - kToneLen;
+  const std::size_t min_len = kFrameAt + frame.size() + 400;
+
+  for (const std::size_t shards : {2U, 3U, 4U, 7U}) {
+    for (std::size_t boundary = kFrameAt + 1; boundary <= kFrameAt + 16; ++boundary) {
+      // The shortest capture, at least min_len long, whose split into
+      // `shards` puts a boundary at `boundary`.
+      std::size_t len = 0;
+      for (std::size_t i = shards - 1; i >= 1 && len == 0; --i) {
+        for (std::size_t l = (boundary * shards + i - 1) / i; l * i / shards == boundary;
+             ++l) {
+          if (l >= min_len) {
+            len = l;
+            break;
+          }
+        }
+      }
+      ASSERT_GT(len, 0U);
+
+      Scenario s;
+      s.phy = phy;
+      s.psdus = {psdu};
+      s.max_frame_len = frame.size();
+      s.capture.assign(1, std::vector<cf32>(len, cf32{}));
+      auto& cap = s.capture[0];
+      std::copy(frame.begin(), frame.end(), cap.begin() + kFrameAt);
+      for (std::size_t i = 0; i < kToneLen; ++i) {
+        cap[kToneAt + i] = 0.3F * dsp::phasor(dsp::two_pi_f * 0.07F * static_cast<float>(i));
+      }
+      dsp::ComplexGaussian noise(0x7E57, 1e-4);
+      noise.add_to(cap);
+
+      const auto label =
+          "shards=" + std::to_string(shards) + " boundary=" + std::to_string(boundary);
+      const auto ref = baseline_scan(s, tight_cfg(s, 1, 1));
+      ASSERT_EQ(ref.stats.delivered, 1U) << label;
+      // The frame is the rewind target of a candidate past the boundary.
+      ASSERT_GE(ref.recs.size(), 2U) << label;
+      EXPECT_EQ(ref.recs.back().offset, kFrameAt) << label;
+      EXPECT_EQ(ref.recs.back().error, metrics::RxError::kOk) << label;
+      EXPECT_GE(ref.recs[ref.recs.size() - 2].offset, boundary) << label;
+      const auto got = farm_scan(s, tight_cfg(s, 2, shards));
+      expect_identical(ref, got, label);
+    }
+  }
+}
+
 TEST(ReceiverFarm, FaultedCaptureEquivalence) {
   // Corrupt the data field of packet 2 of 4 so the scan sees an FCS failure
   // and resynchronizes; the sharded scan must report the identical taxonomy.
