@@ -12,14 +12,14 @@ namespace {
 // Cholesky factor (lower triangular) of the exponential correlation matrix
 // R[i][j] = rho^|i-j|, n <= 4. Used to color i.i.d. Gaussians per the
 // Kronecker model.
-std::vector<std::vector<double>> corr_cholesky(std::size_t n, double rho) {
-  std::vector<std::vector<double>> r(n, std::vector<double>(n));
+FadingGenerator::Factor corr_cholesky(std::size_t n, double rho) {
+  FadingGenerator::Factor r{};
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
       r[i][j] = std::pow(rho, std::abs(static_cast<double>(i) - static_cast<double>(j)));
     }
   }
-  std::vector<std::vector<double>> l(n, std::vector<double>(n, 0.0));
+  FadingGenerator::Factor l{};
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j <= i; ++j) {
       double sum = r[i][j];
@@ -85,38 +85,40 @@ std::vector<std::vector<std::vector<cf32>>> ChannelRealization::frequency_respon
 
 FadingGenerator::FadingGenerator(std::size_t ntx, std::size_t nrx, DelayProfile profile,
                                  std::uint64_t seed, double rho_tx, double rho_rx)
-    : ntx_(ntx),
-      nrx_(nrx),
-      powers_(profile_powers(profile)),
-      rho_tx_(rho_tx),
-      rho_rx_(rho_rx),
-      gauss_(seed, 1.0) {
+    : ntx_(ntx), nrx_(nrx), powers_(profile_powers(profile)), gauss_(seed, 1.0) {
   if (ntx == 0 || nrx == 0 || ntx > 4 || nrx > 4) {
     throw std::invalid_argument("FadingGenerator: antenna counts must be 1..4");
   }
   if (rho_tx < 0.0 || rho_tx >= 1.0 || rho_rx < 0.0 || rho_rx >= 1.0) {
     throw std::invalid_argument("FadingGenerator: correlation must be in [0, 1)");
   }
+  l_rx_ = corr_cholesky(nrx, rho_rx);
+  l_tx_ = corr_cholesky(ntx, rho_tx);
 }
 
 ChannelRealization FadingGenerator::next() {
-  const auto l_rx = corr_cholesky(nrx_, rho_rx_);
-  const auto l_tx = corr_cholesky(ntx_, rho_tx_);
-
   ChannelRealization out;
+  next_into(out);
+  return out;
+}
+
+void FadingGenerator::next_into(ChannelRealization& out) {
   out.ntx = ntx_;
   out.nrx = nrx_;
-  out.taps.assign(nrx_, std::vector<std::vector<cf32>>(
-                            ntx_, std::vector<cf32>(powers_.size())));
+  out.taps.resize(nrx_);
+  for (auto& row : out.taps) {
+    row.resize(ntx_);
+    for (auto& taps : row) taps.resize(powers_.size());
+  }
 
   for (std::size_t tap = 0; tap < powers_.size(); ++tap) {
     // i.i.d. CN(0, p_tap) matrix G, then H = L_rx * G * L_tx^T.
-    std::vector<std::vector<dsp::cf64>> g(nrx_, std::vector<dsp::cf64>(ntx_));
+    std::array<std::array<dsp::cf64, 4>, 4> g;
     const double sigma = std::sqrt(powers_[tap]);
-    for (auto& row : g) {
-      for (auto& v : row) {
+    for (std::size_t a = 0; a < nrx_; ++a) {
+      for (std::size_t b = 0; b < ntx_; ++b) {
         const cf32 s = gauss_.sample();
-        v = dsp::cf64(s.real() * sigma, s.imag() * sigma);
+        g[a][b] = dsp::cf64(s.real() * sigma, s.imag() * sigma);
       }
     }
     for (std::size_t r = 0; r < nrx_; ++r) {
@@ -124,7 +126,7 @@ ChannelRealization FadingGenerator::next() {
         dsp::cf64 acc{0.0, 0.0};
         for (std::size_t a = 0; a < nrx_; ++a) {
           for (std::size_t b = 0; b < ntx_; ++b) {
-            acc += l_rx[r][a] * g[a][b] * l_tx[t][b];
+            acc += l_rx_[r][a] * g[a][b] * l_tx_[t][b];
           }
         }
         out.taps[r][t][tap] =
@@ -132,7 +134,6 @@ ChannelRealization FadingGenerator::next() {
       }
     }
   }
-  return out;
 }
 
 ChannelRealization identity_channel(std::size_t n) {

@@ -2,6 +2,7 @@
 // power-delay profiles (TGn-like), and Kronecker antenna correlation.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -51,16 +52,27 @@ class FadingGenerator {
   /// power per rx-tx pair, correlated across antennas per the Kronecker
   /// model).
   [[nodiscard]] ChannelRealization next();
+  /// next() drawn into `out` in place: its tap vectors keep their storage.
+  void next_into(ChannelRealization& out);
+
+  /// Restart the draws from `seed`, as constructing with it would.
+  void reseed(std::uint64_t seed) noexcept { gauss_.reseed(seed); }
 
   [[nodiscard]] std::size_t ntx() const noexcept { return ntx_; }
   [[nodiscard]] std::size_t nrx() const noexcept { return nrx_; }
+  /// Per-tap average powers of the profile (profile_powers()).
+  [[nodiscard]] const std::vector<double>& powers() const noexcept { return powers_; }
+
+  /// Lower Cholesky factor of an n x n exponential correlation matrix,
+  /// n <= 4; entries outside it are zero.
+  using Factor = std::array<std::array<double, 4>, 4>;
 
  private:
   std::size_t ntx_;
   std::size_t nrx_;
   std::vector<double> powers_;
-  double rho_tx_;
-  double rho_rx_;
+  Factor l_rx_{};
+  Factor l_tx_{};
   dsp::ComplexGaussian gauss_;
 };
 

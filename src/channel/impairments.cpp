@@ -13,14 +13,24 @@ double apply_cfo(std::span<cf32> x, double cfo_norm, double phase0) noexcept {
   return dsp::mix(x, phase0, dsp::two_pi_d * cfo_norm);
 }
 
+double apply_cfo(std::span<const std::span<cf32>> xs, double cfo_norm, double phase0) {
+  return dsp::mix(xs, phase0, dsp::two_pi_d * cfo_norm);
+}
+
 std::vector<cf32> apply_sfo(std::span<const cf32> x, double sfo_ppm) {
+  std::vector<cf32> out;
+  apply_sfo_into(x, sfo_ppm, out);
+  return out;
+}
+
+void apply_sfo_into(std::span<const cf32> x, double sfo_ppm, std::vector<cf32>& out) {
   const double step = 1.0 + sfo_ppm * 1e-6;
   // A non-positive step would pin `pos` forever (infinite loop) and a
   // non-finite one would make the size_t cast below undefined.
   if (!(step > 0.0) || !std::isfinite(step)) {
     throw std::invalid_argument("apply_sfo: sfo_ppm must stay above -1e6");
   }
-  std::vector<cf32> out;
+  out.clear();
   out.reserve(x.size());
   double pos = 0.0;
   while (true) {
@@ -30,7 +40,6 @@ std::vector<cf32> apply_sfo(std::span<const cf32> x, double sfo_ppm) {
     out.push_back(x[i] * (1.0F - frac) + x[i + 1] * frac);
     pos += step;
   }
-  return out;
 }
 
 void quantize(std::span<cf32> x, unsigned bits, float full_scale) noexcept {
@@ -69,12 +78,18 @@ void apply_burst_erasure(std::span<cf32> x, std::size_t start,
 std::vector<cf32> pad_with_noise(std::span<const cf32> x, std::size_t count,
                                  std::size_t tail, double noise_var,
                                  std::uint64_t seed) {
-  std::vector<cf32> out(count + x.size() + tail);
+  std::vector<cf32> out;
+  pad_with_noise_into(x, count, tail, noise_var, seed, out);
+  return out;
+}
+
+void pad_with_noise_into(std::span<const cf32> x, std::size_t count, std::size_t tail,
+                         double noise_var, std::uint64_t seed, std::vector<cf32>& out) {
+  out.resize(count + x.size() + tail);
   dsp::ComplexGaussian noise(seed, noise_var);
   noise.fill(std::span(out).first(count));
   std::copy(x.begin(), x.end(), out.begin() + static_cast<std::ptrdiff_t>(count));
   noise.fill(std::span(out).last(tail));
-  return out;
 }
 
 }  // namespace mimonet::channel

@@ -16,11 +16,18 @@ using dsp::cf32;
 /// f_off / f_s) starting at phase `phase0`; returns the phase after the last
 /// sample so multi-buffer streams stay continuous.
 double apply_cfo(std::span<cf32> x, double cfo_norm, double phase0 = 0.0) noexcept;
+/// apply_cfo() of equal-length spans that share one oscillator (the
+/// antennas of one device): one phasor per sample for all of them, and each
+/// span bit-identical to apply_cfo() on it alone (dsp::mix's span form).
+double apply_cfo(std::span<const std::span<cf32>> xs, double cfo_norm,
+                 double phase0 = 0.0);
 
 /// Resample with a sampling frequency offset: output sample n is taken at
 /// input position n * (1 + sfo_ppm * 1e-6) by linear interpolation. Output
 /// is slightly shorter/longer than input accordingly.
 [[nodiscard]] std::vector<cf32> apply_sfo(std::span<const cf32> x, double sfo_ppm);
+/// apply_sfo() into caller-owned storage (resized, capacity kept).
+void apply_sfo_into(std::span<const cf32> x, double sfo_ppm, std::vector<cf32>& out);
 
 /// Quantize to a `bits`-bit ADC with full-scale range [-full_scale,
 /// +full_scale] per I/Q rail (values beyond clip).
@@ -43,5 +50,9 @@ void apply_burst_erasure(std::span<cf32> x, std::size_t start,
 [[nodiscard]] std::vector<cf32> pad_with_noise(std::span<const cf32> x,
                                                std::size_t count, std::size_t tail,
                                                double noise_var, std::uint64_t seed);
+/// pad_with_noise() into caller-owned storage (resized, capacity kept): the
+/// same draws, written straight into `out`.
+void pad_with_noise_into(std::span<const cf32> x, std::size_t count, std::size_t tail,
+                         double noise_var, std::uint64_t seed, std::vector<cf32>& out);
 
 }  // namespace mimonet::channel

@@ -23,17 +23,22 @@
 
 namespace mimonet::core {
 
-/// close() signals the producer is done; stop() aborts a blocked producer.
+/// A single-producer, single-consumer queue of at most `cap` items, held in
+/// a ring of `cap` slots allocated once: items move in and out of the
+/// slots, so a push or pop never allocates. T must be default
+/// constructible and move assignable. close() signals the producer is
+/// done; stop() aborts a blocked producer.
 template <class T>
 class BoundedQueue {
  public:
-  explicit BoundedQueue(std::size_t cap) : cap_(cap) {}
+  explicit BoundedQueue(std::size_t cap) : slots_(cap) {}
 
   bool push(T&& work) {
     std::unique_lock lk(m_);
-    cv_space_.wait(lk, [&] { return q_.size() < cap_ || stopped_; });
+    cv_space_.wait(lk, [&] { return size_ < slots_.size() || stopped_; });
     if (stopped_) return false;
-    q_.push_back(std::move(work));
+    slots_[(head_ + size_) % slots_.size()] = std::move(work);
+    ++size_;
     cv_item_.notify_one();
     return true;
   }
@@ -54,10 +59,11 @@ class BoundedQueue {
   /// the queue drained (i.e. the worker exited early).
   std::optional<T> pop() {
     std::unique_lock lk(m_);
-    cv_item_.wait(lk, [&] { return !q_.empty() || closed_; });
-    if (q_.empty()) return std::nullopt;
-    T work = std::move(q_.front());
-    q_.pop_front();
+    cv_item_.wait(lk, [&] { return size_ > 0 || closed_; });
+    if (size_ == 0) return std::nullopt;
+    std::optional<T> work(std::move(slots_[head_]));
+    head_ = (head_ + 1) % slots_.size();
+    --size_;
     cv_space_.notify_one();
     return work;
   }
@@ -66,8 +72,9 @@ class BoundedQueue {
   std::mutex m_;
   std::condition_variable cv_item_;
   std::condition_variable cv_space_;
-  std::deque<T> q_;
-  std::size_t cap_;
+  std::vector<T> slots_;
+  std::size_t head_ = 0;  ///< slot of the oldest item
+  std::size_t size_ = 0;
   bool closed_ = false;
   bool stopped_ = false;
 };

@@ -1,5 +1,6 @@
 #include "core/link_simulator.hpp"
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 
@@ -7,7 +8,6 @@
 #include "core/link_internal.hpp"
 #include "core/workspace.hpp"
 #include "dsp/rng.hpp"
-#include "wifi/bits.hpp"
 #include "wifi/psdu.hpp"
 
 namespace mimonet::core {
@@ -43,9 +43,13 @@ void account_packet(LinkResult& res, const RxWorkspace& rws, bool detected,
   res.throughput.add_packet(ok ? payload_bytes : 0, airtime);
 
   if (rx_pkt.htsig_ok && rx_pkt.psdu.size() == sent_psdu.size()) {
-    const auto sent_bits = wifi::bytes_to_bits(sent_psdu);
-    const auto got_bits = wifi::bytes_to_bits(rx_pkt.psdu);
-    res.ber.add(sent_bits, got_bits);
+    // Bit errors counted a byte at a time: the popcount of each XOR.
+    std::size_t errors = 0;
+    for (std::size_t i = 0; i < sent_psdu.size(); ++i) {
+      errors += static_cast<std::size_t>(
+          std::popcount(static_cast<unsigned>(sent_psdu[i] ^ rx_pkt.psdu[i])));
+    }
+    res.ber.add_counts(errors, sent_psdu.size() * 8);
   } else if (rx_pkt.htsig_ok) {
     // Length corrupted: count every PSDU bit as errored.
     res.ber.add_counts(sent_psdu.size() * 8, sent_psdu.size() * 8);
@@ -79,15 +83,16 @@ struct PacketWork {
 
 /// One worker's engine: its own transmitter, channel and receiver plus
 /// their workspaces, so nothing in the transmit/receive chain is shared
-/// across threads and, once warm, nothing allocates.
+/// across threads and, once warm, a packet without an observer allocates
+/// nothing.
 class LinkEngine {
  public:
-  LinkEngine(const LinkConfig& cfg, bool want_rx)
+  LinkEngine(const LinkConfig& cfg, bool want_outcome)
       : cfg_(cfg),
         tx_(cfg.phy),
         chan_(seeded_channel(cfg)),
         rx_(cfg.phy, cfg.channel.nrx),
-        want_rx_(want_rx) {}
+        want_outcome_(want_outcome) {}
 
   [[nodiscard]] PacketWork simulate(std::size_t p) {
     const std::uint64_t pkt_seed = detail::packet_seed(cfg_.seed, p);
@@ -101,32 +106,32 @@ class LinkEngine {
     hdr.addr3 = hdr.addr1;
     hdr.sequence_control = static_cast<std::uint16_t>((p & 0xFFFU) << 4U);
 
-    dsp::BitSource payload_src(pkt_seed * 0x2545F4914F6CDD1DULL + 7);
-    const auto payload = payload_src.bytes(cfg_.psdu_payload_bytes);
-    const auto psdu = wifi::build_psdu(hdr, payload);
+    payload_.resize(cfg_.psdu_payload_bytes);
+    dsp::BitSource(pkt_seed * 0x2545F4914F6CDD1DULL + 7).bytes_into(payload_);
+    wifi::build_psdu_into(hdr, payload_, psdu_);
 
-    tx_.transmit_into(psdu, tws_);
-    const auto capture = chan_.transmit(tws_.chains);
+    tx_.transmit_into(psdu_, tws_);
+    tx_spans_.assign(tws_.chains.begin(), tws_.chains.end());
+    chan_.transmit_into(tx_spans_, cws_);
     const auto& truth = chan_.truth();
 
-    rws_.capture_spans.assign(capture.begin(), capture.end());
+    rws_.capture_spans.assign(cws_.rx.begin(), cws_.rx.end());
     const bool detected = rx_.receive(
         std::span<const std::span<const cf32>>(rws_.capture_spans), rws_);
-    const double airtime = tx_.layout(psdu.size()).airtime_us();
+    const double airtime = tx_.layout(psdu_.size()).airtime_us();
 
     PacketWork work;
     work.outcome.index = p;
-    work.outcome.sent_psdu = psdu;
     work.outcome.airtime_us = airtime;
     work.outcome.truth_packet_start = truth.packet_start;
     work.outcome.truth_cfo_norm = truth.cfo_norm;
-
-    detail::account_packet(work.partial, rws_, detected, psdu, payload.size(),
+    detail::account_packet(work.partial, rws_, detected, psdu_, payload_.size(),
                            airtime, truth);
-    if (!detected) return work;
-
-    work.outcome.detected = true;
-    if (want_rx_) work.outcome.rx = rws_.packet;
+    work.outcome.detected = detected;
+    if (want_outcome_) {
+      work.outcome.sent_psdu = psdu_;
+      if (detected) work.outcome.rx = rws_.packet;
+    }
     return work;
   }
 
@@ -136,10 +141,14 @@ class LinkEngine {
   channel::MimoChannel chan_;
   const Receiver rx_;
   TxWorkspace tws_;
+  channel::ChannelWorkspace cws_;
   RxWorkspace rws_;
-  /// Copy the decoded RxPacket into each outcome. Only an observer reads
-  /// it, so the no-observer hot path skips the per-packet copy.
-  bool want_rx_;
+  std::vector<std::uint8_t> payload_;
+  std::vector<std::uint8_t> psdu_;
+  std::vector<std::span<const cf32>> tx_spans_;
+  /// Copy the sent PSDU and the decoded RxPacket into each outcome. Only
+  /// an observer reads them, so the no-observer hot path skips both.
+  bool want_outcome_;
 };
 
 }  // namespace
@@ -228,10 +237,10 @@ LinkResult LinkSimulator::run(const RunOptions& opt,
   const std::size_t bound = (opt.target_per_events > 0 && opt.max_packets > 0)
                                 ? opt.max_packets
                                 : opt.n_packets;
-  const bool want_rx = static_cast<bool>(observer);
+  const bool want_outcome = static_cast<bool>(observer);
   LinkResult res;
   run_ordered_fold(
-      bound, opt.n_threads, [&] { return LinkEngine(cfg_, want_rx); },
+      bound, opt.n_threads, [&] { return LinkEngine(cfg_, want_outcome); },
       [&](const PacketWork& work) {
         res.merge(work.partial);
         if (observer) observer(work.outcome);

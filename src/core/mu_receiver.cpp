@@ -96,11 +96,14 @@ bool MuUplinkReceiver::receive(std::span<const std::span<const cf32>> capture,
   // shared oscillator assumption: the triggered uplink uses the BS
   // reference, so one correction serves every user's stream).
   ws.rx.resize(nrx_);
+  std::array<std::span<cf32>, 4> derot{};  // nrx <= 4
   for (std::size_t a = 0; a < nrx_; ++a) {
     const auto frame = capture[a].subspan(start, fl.total_samples());
     ws.rx[a].assign(frame.begin(), frame.end());
-    channel::apply_cfo(ws.rx[a], -sync_res->cfo_norm);
+    derot[a] = ws.rx[a];
   }
+  channel::apply_cfo(std::span<const std::span<cf32>>(derot.data(), nrx_),
+                           -sync_res->cfo_norm);
 
   const dsp::FftPlan& fft64 = ws.fft_cache.plan(ofdm::kFftSize);
 

@@ -150,13 +150,17 @@ bool Receiver::receive(std::span<const std::span<const cf32>> capture,
   }
 
   const std::size_t sig_end = probe.htstf_offset();
-  double cfo_phase = 0.0;  // derotation phase after the first sig_end samples
   ws.rx.resize(nrx_);
+  std::array<std::span<cf32>, 4> derot{};  // nrx <= 4
+  const std::span<const std::span<cf32>> derot_views(derot.data(), nrx_);
   for (std::size_t a = 0; a < nrx_; ++a) {
     const auto head = capture[a].subspan(start, sig_end);
     ws.rx[a].assign(head.begin(), head.end());
-    cfo_phase = channel::apply_cfo(ws.rx[a], -sync_res->cfo_norm);
+    derot[a] = ws.rx[a];
   }
+  // One oscillator: one phasor per sample for every antenna. The phase
+  // after the first sig_end samples continues the derotation below.
+  const double cfo_phase = channel::apply_cfo(derot_views, -sync_res->cfo_norm);
 
   const dsp::FftPlan& fft64 = ws.fft_cache.plan(ofdm::kFftSize);
 
@@ -251,9 +255,9 @@ bool Receiver::receive(std::span<const std::span<const cf32>> capture,
   for (std::size_t a = 0; a < nrx_; ++a) {
     const auto rest = capture[a].subspan(start + sig_end, fl.total_samples() - sig_end);
     ws.rx[a].insert(ws.rx[a].end(), rest.begin(), rest.end());
-    channel::apply_cfo(std::span<cf32>(ws.rx[a]).subspan(sig_end),
-                       -sync_res->cfo_norm, cfo_phase);
+    derot[a] = std::span<cf32>(ws.rx[a]).subspan(sig_end);
   }
+  channel::apply_cfo(derot_views, -sync_res->cfo_norm, cfo_phase);
 
   // ---- HT-LTF channel estimation. ----
   const std::size_t n_ltf = fl.n_ht_ltfs();

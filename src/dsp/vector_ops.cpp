@@ -42,18 +42,29 @@ cf64 dot_conj(std::span<const cf32> a, std::span<const cf32> b) noexcept {
   return acc;
 }
 
-double mix(std::span<cf32> x, double phase0, double phase_inc) noexcept {
+double mix(std::span<const std::span<cf32>> xs, double phase0, double phase_inc) {
+  if (xs.empty()) return phase0;
+  const std::size_t n = xs[0].size();
+  for (const auto& x : xs) {
+    if (x.size() != n) throw std::invalid_argument("mix: spans of unequal length");
+  }
   double phase = phase0;
-  for (auto& v : x) {
+  for (std::size_t i = 0; i < n; ++i) {
     const cf64 rot = phasor_d(phase);
-    const cf64 y = cf64(v) * rot;
-    v = cf32(static_cast<float>(y.real()), static_cast<float>(y.imag()));
+    for (const auto& x : xs) {
+      const cf64 y = cf64(x[i]) * rot;
+      x[i] = cf32(static_cast<float>(y.real()), static_cast<float>(y.imag()));
+    }
     phase += phase_inc;
     // Keep the accumulator bounded for long streams.
     if (phase > pi_d) phase -= two_pi_d;
     if (phase < -pi_d) phase += two_pi_d;
   }
   return phase;
+}
+
+double mix(std::span<cf32> x, double phase0, double phase_inc) noexcept {
+  return mix(std::span<const std::span<cf32>>(&x, 1), phase0, phase_inc);
 }
 
 namespace {
@@ -173,6 +184,104 @@ bool have_avx2() noexcept {
 }
 #endif  // MIMONET_XCORR_X86_DISPATCH
 
+bool g_force_scalar_tdl = false;
+
+// Scalar tapped-delay-line convolution of outputs [first, first + n), the
+// dispatch fallback and the reference the AVX2 kernel must match bit for
+// bit: each output accumulates its in-range taps in order through
+// std::complex<double> (which recovers NaN products through __muldc3, as
+// only this path does) and is added into out in float. fp-contract is
+// pinned off as for xcorr_scalar.
+#if defined(__GNUC__) && !defined(__clang__)
+__attribute__((optimize("-ffp-contract=off")))
+#endif
+void tdl_scalar(const cf32* x, std::size_t len, const cf32* h, std::size_t n_taps,
+                std::size_t first, std::size_t n, cf32* out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t pos = first + i;
+    cf64 acc{0.0, 0.0};
+    for (std::size_t k = pos >= len ? pos - len + 1 : 0; k < n_taps && k <= pos; ++k) {
+      acc += cf64(h[k]) * cf64(x[pos - k]);
+    }
+    out[i] += cf32(static_cast<float>(acc.real()), static_cast<float>(acc.imag()));
+  }
+}
+
+#ifdef MIMONET_XCORR_X86_DISPATCH
+// Outputs per staging block, and the most taps the AVX2 kernel stages.
+constexpr std::size_t kTdlBlock = 128;
+constexpr std::size_t kTdlMaxTaps = 64;
+
+// out[0, 4) += four outputs' double accumulators rounded to cf32.
+__attribute__((target("avx2"))) void add_cf32x4(cf32* out, __m256d re4, __m256d im4) {
+  const __m128 re = _mm256_cvtpd_ps(re4);
+  const __m128 im = _mm256_cvtpd_ps(im4);
+  float* of = reinterpret_cast<float*>(out);
+  _mm_storeu_ps(of, _mm_add_ps(_mm_loadu_ps(of), _mm_unpacklo_ps(re, im)));
+  _mm_storeu_ps(of + 4, _mm_add_ps(_mm_loadu_ps(of + 4), _mm_unpackhi_ps(re, im)));
+}
+
+// AVX2 convolution, 4 outputs per __m256d with split re/im accumulators,
+// two such groups (8 outputs) per pass over the taps. Each lane runs
+// tdl_scalar's operations for its output: taps in order, the product
+// (ac - bd) + (ad + bc)i with a + bi = h[k], every multiply and add rounded
+// on its own (no FMA). x is staged as split doubles, zero outside [0, len),
+// one block of outputs at a time; a zero term leaves an accumulator that
+// started at +0 unchanged, so padding matches tdl_scalar's bounds. Finite
+// inputs and at most kTdlMaxTaps taps only; the last n % 8 outputs go to
+// tdl_scalar.
+__attribute__((target("avx2"))) void tdl_avx2(const cf32* x, std::size_t len,
+                                              const cf32* h, std::size_t n_taps,
+                                              std::size_t first, std::size_t n, cf32* out) {
+  alignas(32) double a[kTdlMaxTaps];
+  alignas(32) double b[kTdlMaxTaps];
+  for (std::size_t k = 0; k < n_taps; ++k) {
+    a[k] = static_cast<double>(h[k].real());
+    b[k] = static_cast<double>(h[k].imag());
+  }
+  alignas(32) double xr[kTdlBlock + kTdlMaxTaps];
+  alignas(32) double xi[kTdlBlock + kTdlMaxTaps];
+  const std::size_t lead = n_taps - 1;  // staged samples before an output
+
+  const std::size_t n_simd = n / 8 * 8;
+  for (std::size_t i0 = 0; i0 < n_simd; i0 += kTdlBlock) {
+    const std::size_t outs = std::min(kTdlBlock, n_simd - i0);
+    const std::size_t p0 = first + i0;  // position of staged sample `lead`
+    for (std::size_t j = 0; j < outs + lead; ++j) {
+      const bool inside = p0 + j >= lead && p0 + j - lead < len;
+      xr[j] = inside ? static_cast<double>(x[p0 + j - lead].real()) : 0.0;
+      xi[j] = inside ? static_cast<double>(x[p0 + j - lead].imag()) : 0.0;
+    }
+    for (std::size_t i = 0; i < outs; i += 8) {
+      __m256d re0 = _mm256_setzero_pd();
+      __m256d im0 = _mm256_setzero_pd();
+      __m256d re1 = _mm256_setzero_pd();
+      __m256d im1 = _mm256_setzero_pd();
+      for (std::size_t k = 0; k < n_taps; ++k) {
+        const __m256d ak = _mm256_broadcast_sd(a + k);
+        const __m256d bk = _mm256_broadcast_sd(b + k);
+        const std::size_t j = i + lead - k;
+        const __m256d c0 = _mm256_loadu_pd(xr + j);
+        const __m256d d0 = _mm256_loadu_pd(xi + j);
+        const __m256d c1 = _mm256_loadu_pd(xr + j + 4);
+        const __m256d d1 = _mm256_loadu_pd(xi + j + 4);
+        re0 = _mm256_add_pd(
+            re0, _mm256_sub_pd(_mm256_mul_pd(ak, c0), _mm256_mul_pd(bk, d0)));
+        im0 = _mm256_add_pd(
+            im0, _mm256_add_pd(_mm256_mul_pd(ak, d0), _mm256_mul_pd(bk, c0)));
+        re1 = _mm256_add_pd(
+            re1, _mm256_sub_pd(_mm256_mul_pd(ak, c1), _mm256_mul_pd(bk, d1)));
+        im1 = _mm256_add_pd(
+            im1, _mm256_add_pd(_mm256_mul_pd(ak, d1), _mm256_mul_pd(bk, c1)));
+      }
+      add_cf32x4(out + i0 + i, re0, im0);
+      add_cf32x4(out + i0 + i + 4, re1, im1);
+    }
+  }
+  tdl_scalar(x, len, h, n_taps, first + n_simd, n - n_simd, out + n_simd);
+}
+#endif  // MIMONET_XCORR_X86_DISPATCH
+
 }  // namespace
 
 namespace detail {
@@ -184,7 +293,37 @@ bool xcorr_simd_active() noexcept {
   return false;
 #endif
 }
+void force_scalar_tdl(bool force) noexcept { g_force_scalar_tdl = force; }
+bool tdl_simd_active() noexcept {
+#ifdef MIMONET_XCORR_X86_DISPATCH
+  return have_avx2() && !g_force_scalar_tdl;
+#else
+  return false;
+#endif
+}
 }  // namespace detail
+
+void tdl_convolve_add(std::span<const cf32> x, std::span<const cf32> h,
+                      std::size_t first, std::span<cf32> out) {
+  if (h.empty()) throw std::invalid_argument("tdl_convolve_add: no taps");
+  if (out.empty()) return;
+  if (first + out.size() > x.size() + h.size() - 1) {
+    throw std::invalid_argument("tdl_convolve_add: outputs past the convolution tail");
+  }
+#ifdef MIMONET_XCORR_X86_DISPATCH
+  // The samples the outputs read: positions [first - (taps - 1), first + n)
+  // clipped to x.
+  const std::size_t lo = first >= h.size() - 1 ? first - (h.size() - 1) : 0;
+  const std::size_t hi = std::min(x.size(), first + out.size());
+  if (detail::tdl_simd_active() && h.size() <= kTdlMaxTaps &&
+      all_finite_avx2(h.data(), h.size()) &&
+      (lo >= hi || all_finite_avx2(x.data() + lo, hi - lo))) {
+    tdl_avx2(x.data(), x.size(), h.data(), h.size(), first, out.size(), out.data());
+    return;
+  }
+#endif
+  tdl_scalar(x.data(), x.size(), h.data(), h.size(), first, out.size(), out.data());
+}
 
 void cross_correlate_into(std::span<const cf32> x, std::span<const cf32> ref,
                           std::vector<cf32>& out) {

@@ -63,8 +63,10 @@ std::optional<FrameSyncResult> FrameSynchronizer::synchronize(
   for (std::size_t a = 0; a < rx.size(); ++a) {
     corrected[a].assign(rx[a].begin() + static_cast<std::ptrdiff_t>(det->start),
                         rx[a].begin() + static_cast<std::ptrdiff_t>(det->start + region_len));
-    channel::apply_cfo(corrected[a], -det->cfo_norm);
   }
+  // One oscillator: one phasor per sample for every antenna.
+  scratch.cfo_views.assign(corrected.begin(), corrected.end());
+  channel::apply_cfo(scratch.cfo_views, -det->cfo_norm);
   auto& cspans = scratch.spans;
   cspans.assign(corrected.begin(), corrected.end());
 

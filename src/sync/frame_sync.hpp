@@ -48,6 +48,7 @@ struct SyncScratch {
   std::vector<std::vector<cf32>> corrected;    ///< CFO-corrected sync region
   std::vector<std::span<const cf32>> spans;    ///< span staging
   std::vector<std::span<const cf32>> capture_spans;  ///< vector-overload staging
+  std::vector<std::span<cf32>> cfo_views;      ///< coarse-CFO pass over `corrected`
   FineSyncScratch fine;                        ///< fine-sync correlations
 
   // Diagnostics for the last synchronize() call that found a detector

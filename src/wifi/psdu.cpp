@@ -21,10 +21,17 @@ void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
 
 std::vector<std::uint8_t> build_psdu(const MacHeader& header,
                                      std::span<const std::uint8_t> payload) {
+  std::vector<std::uint8_t> psdu;
+  build_psdu_into(header, payload, psdu);
+  return psdu;
+}
+
+void build_psdu_into(const MacHeader& header, std::span<const std::uint8_t> payload,
+                     std::vector<std::uint8_t>& psdu) {
   if (kMacHeaderLen + payload.size() + kFcsLen > kMaxPsduLen) {
     throw std::invalid_argument("build_psdu: payload too large");
   }
-  std::vector<std::uint8_t> psdu;
+  psdu.clear();
   psdu.reserve(kMacHeaderLen + payload.size() + kFcsLen);
   put_u16(psdu, header.frame_control);
   put_u16(psdu, header.duration);
@@ -38,7 +45,6 @@ std::vector<std::uint8_t> build_psdu(const MacHeader& header,
   for (unsigned i = 0; i < 4; ++i) {
     psdu.push_back(static_cast<std::uint8_t>((fcs >> (8 * i)) & 0xFFU));
   }
-  return psdu;
 }
 
 bool psdu_fcs_ok(std::span<const std::uint8_t> psdu) noexcept {

@@ -34,6 +34,9 @@ inline constexpr std::size_t kMaxPsduLen = 65535;
 /// Serialize header + payload + FCS into a PSDU byte vector.
 [[nodiscard]] std::vector<std::uint8_t> build_psdu(const MacHeader& header,
                                                    std::span<const std::uint8_t> payload);
+/// build_psdu() into caller-owned storage (resized, capacity kept).
+void build_psdu_into(const MacHeader& header, std::span<const std::uint8_t> payload,
+                     std::vector<std::uint8_t>& psdu);
 
 /// A successfully FCS-validated PSDU.
 struct ParsedPsdu {

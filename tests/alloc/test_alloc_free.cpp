@@ -19,6 +19,7 @@
 
 #include "channel/mimo_channel.hpp"
 #include "channel/multi_user_channel.hpp"
+#include "core/link_simulator.hpp"
 #include "core/mu_receiver.hpp"
 #include "core/receive_session.hpp"
 #include "core/receiver.hpp"
@@ -500,6 +501,43 @@ TEST(AllocFree, HarqCombiningReceiveSteadyState) {
         << "steady-state HARQ-combining receive allocated";
   }
   EXPECT_EQ(ws.packet.psdu, reference);
+}
+
+// The Monte-Carlo engine's per-packet contract: with no observer, once each
+// worker's transmitter, channel and receiver workspaces are warm, a packet
+// allocates nothing — payload, PSDU, channel draws, convolution, noise,
+// receive, accounting and the hand-off to the folding caller. Packets are
+// dealt to workers by index, so run(2N) repeats run(N)'s first N packets
+// on the same workers and may differ from it only by what the last N
+// allocate. A first run fills the process-wide caches (FFT plans, tables).
+// Checked inline and with the worker pool.
+TEST(AllocFree, LinkSimulatorRunSteadyState) {
+  const core::LinkConfig cfg = core::LinkConfig::make()
+                                   .mcs(12)
+                                   .snr_db(22.0)
+                                   .fading(true, channel::DelayProfile::kTypical)
+                                   .doppler_norm(2e-7)
+                                   .cfo_norm(1e-3)
+                                   .seed(0xC0FFEE)
+                                   .build();
+  for (const std::size_t threads : {1UL, 3UL}) {
+    const std::size_t n = 4 * threads;
+    core::LinkSimulator sim(cfg);
+    const auto count_run = [&](std::size_t packets) {
+      const AllocGuard guard;
+      const auto res = sim.run(core::RunOptions::make()
+                                   .n_packets(packets)
+                                   .n_threads(threads)
+                                   .build());
+      EXPECT_EQ(res.per.packets(), packets);
+      return AllocGuard::count();
+    };
+    (void)count_run(n);
+    const std::size_t once = count_run(n);
+    const std::size_t twice = count_run(2 * n);
+    EXPECT_EQ(twice, once) << "threads=" << threads << ": the second " << n
+                           << " packets allocated " << (twice - once) << " times";
+  }
 }
 
 }  // namespace
