@@ -5,7 +5,9 @@
 #include <random>
 
 #include "core/link_simulator.hpp"
+#include "dsp/rng.hpp"
 #include "fec/ldpc.hpp"
+#include "packet_digest.hpp"
 
 namespace {
 
@@ -134,6 +136,26 @@ TEST(Ldpc, DeterministicConstruction) {
   const LdpcCode b;
   const auto info = random_bits(a.k(), 9);
   EXPECT_EQ(a.encode(info), b.encode(info));
+}
+
+// The information-part shifts come from a seeded draw. This pins the
+// codewords LdpcCode(27) encodes from fixed information words, so the draw
+// cannot drift with the C++ library.
+constexpr std::uint64_t kCodewordDigest = 0xea807427565159a1ULL;
+
+TEST(Ldpc, CodewordsArePinned) {
+  const LdpcCode code;
+  testutil::Digest d;
+  std::uint64_t state = 0x1DBCULL;
+  std::vector<std::uint8_t> info(code.k());
+  for (int w = 0; w < 8; ++w) {
+    for (auto& b : info) {
+      state = dsp::splitmix64(state);
+      b = static_cast<std::uint8_t>(state >> 63U);
+    }
+    d.vec(code.encode(info));
+  }
+  EXPECT_EQ(d.value(), kCodewordDigest);
 }
 
 TEST(Ldpc, InvalidSizesThrow) {
