@@ -1,11 +1,11 @@
 // Multi-user uplink joint detection at the base station: U single-antenna
 // users transmit simultaneously as virtual space-time streams 0..U-1 (see
 // Transmitter::transmit_virtual_into); the BS stacks its antennas against
-// the user streams as one tall MIMO problem — synchronize on the superposed
-// legacy preamble, LS-estimate the nrx x U channel from the joint HT-LTFs,
-// linearly equalize per subcarrier, then run each user's stream through its
-// own deinterleave / depuncture / Viterbi / descramble / FCS chain (one
-// codeword per user, unlike the single-link receiver's stream merge).
+// the user streams as one tall MIMO problem. It runs Receiver's stages
+// (core/rx_stages.hpp): sync on the superposed legacy preamble, the joint
+// nrx x U HT-LTF estimate, the batched symbol plane without the stream
+// merge, then one Viterbi / descramble / FCS chain per user (one codeword
+// per user).
 //
 // The uplink is trigger-based: the BS announced MCS and PSDU length, so no
 // SIG decoding happens — the superposed SIG symbols are flown for timing
