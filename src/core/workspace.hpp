@@ -20,6 +20,7 @@
 #include "dsp/types.hpp"
 #include "eq/equalizer.hpp"
 #include "eq/matrix.hpp"
+#include "fec/ldpc.hpp"
 #include "fec/viterbi.hpp"
 #include "sync/frame_sync.hpp"
 
@@ -130,6 +131,7 @@ struct RxWorkspace {
   std::vector<float> merged;             ///< stream-merged LLRs
   std::vector<float> depunctured;        ///< full rate-1/2 LLR stream
   std::vector<std::uint8_t> scrambled;   ///< decoded, still-scrambled bits
+  fec::LdpcCode::Scratch ldpc;           ///< LDPC decoder messages
 
   // ---- Batched symbol-plane decode slabs (chunks of kDecodeBatchSymbols
   // OFDM symbols move through the stage-wise pipeline together; every slab

@@ -20,6 +20,20 @@ void rotate_xor(std::span<const std::uint8_t> x, int s, std::span<std::uint8_t> 
   }
 }
 
+/// Uniform integer in [a, b] from a 32-bit engine, by the multiply-and-reject
+/// map libstdc++ 12's uniform_int_distribution uses for std::mt19937. The
+/// standard leaves that map to the library; spelling it out keeps the code
+/// (and every LDPC pin) the same under any C++ library.
+int uniform_int(std::mt19937& g, int a, int b) {
+  const auto range = static_cast<std::uint32_t>(b - a) + 1U;
+  const std::uint32_t threshold = (0U - range) % range;
+  std::uint64_t p = std::uint64_t{static_cast<std::uint32_t>(g())} * range;
+  while (static_cast<std::uint32_t>(p) < threshold) {
+    p = std::uint64_t{static_cast<std::uint32_t>(g())} * range;
+  }
+  return a + static_cast<int>(p >> 32U);
+}
+
 }  // namespace
 
 LdpcCode::LdpcCode(std::size_t z) : z_(z) {
@@ -39,8 +53,6 @@ LdpcCode::LdpcCode(std::size_t z) : z_(z) {
   // greedy 4-cycle avoidance. Fixed seed -> every LdpcCode(z) is the same
   // code, reproducible across runs and machines.
   std::mt19937 rng(0x11ACU + static_cast<unsigned>(z));
-  std::uniform_int_distribution<int> shift_dist(0, static_cast<int>(z) - 1);
-  std::uniform_int_distribution<int> row_dist(0, 11);
 
   const auto makes_4cycle = [&](int col, const std::vector<int>& rows,
                                 const std::vector<int>& shifts) {
@@ -72,11 +84,11 @@ LdpcCode::LdpcCode(std::size_t z) : z_(z) {
     for (int attempt = 0; attempt < 200; ++attempt) {
       std::vector<int> rows;
       while (rows.size() < kInfoColumnWeight) {
-        const int r = row_dist(rng);
+        const int r = uniform_int(rng, 0, 11);
         if (std::find(rows.begin(), rows.end(), r) == rows.end()) rows.push_back(r);
       }
       std::vector<int> shifts(rows.size());
-      for (auto& s : shifts) s = shift_dist(rng);
+      for (auto& s : shifts) s = uniform_int(rng, 0, static_cast<int>(z) - 1);
       if (attempt < 199 && makes_4cycle(col, rows, shifts)) continue;
       for (std::size_t i = 0; i < rows.size(); ++i) {
         base_[static_cast<std::size_t>(rows[i])][static_cast<std::size_t>(col)] =
@@ -183,13 +195,24 @@ bool LdpcCode::check(std::span<const std::uint8_t> codeword) const {
 std::vector<std::uint8_t> LdpcCode::decode(std::span<const float> llrs,
                                            unsigned max_iterations,
                                            bool* converged) const {
+  std::vector<std::uint8_t> hard(n());
+  Scratch scratch;
+  decode_into(llrs, hard, scratch, max_iterations, converged);
+  return hard;
+}
+
+void LdpcCode::decode_into(std::span<const float> llrs, std::span<std::uint8_t> hard,
+                           Scratch& scratch, unsigned max_iterations,
+                           bool* converged) const {
   if (llrs.size() != n()) throw std::invalid_argument("LdpcCode::decode: need n LLRs");
+  if (hard.size() != n()) throw std::invalid_argument("LdpcCode::decode: need n outputs");
   const std::size_t n_vars = n();
   const std::size_t n_checks = 12 * z_;
 
-  std::vector<float> r_msg(edges_.size(), 0.0F);  // check -> variable
-  std::vector<float> total(n_vars);
-  std::vector<std::uint8_t> hard(n_vars);
+  std::vector<float>& r_msg = scratch.r_msg;  // check -> variable
+  std::vector<float>& total = scratch.total;
+  r_msg.assign(edges_.size(), 0.0F);
+  total.resize(n_vars);
   if (converged != nullptr) *converged = false;
 
   for (unsigned iter = 0; iter < max_iterations; ++iter) {
@@ -245,7 +268,6 @@ std::vector<std::uint8_t> LdpcCode::decode(std::span<const float> llrs,
     hard[v] = (t < 0.0F) ? 1 : 0;
   }
   if (converged != nullptr && check(hard)) *converged = true;
-  return hard;
 }
 
 }  // namespace mimonet::fec

@@ -30,12 +30,24 @@ class LdpcCode {
   [[nodiscard]] std::vector<std::uint8_t> encode(
       std::span<const std::uint8_t> info) const;
 
+  /// Message buffers of decode_into, reused across codewords.
+  struct Scratch {
+    std::vector<float> r_msg;  ///< check -> variable message per edge
+    std::vector<float> total;  ///< a-posteriori LLR per variable
+  };
+
   /// Decode n LLRs (positive = bit 0, matching the rest of the stack).
   /// @param converged optional out-flag: true when all parity checks
   ///        passed (decoder stopped early).
   [[nodiscard]] std::vector<std::uint8_t> decode(std::span<const float> llrs,
                                                  unsigned max_iterations = 30,
                                                  bool* converged = nullptr) const;
+
+  /// decode() into caller storage: `hard` receives the n hard decisions.
+  /// Allocates nothing once `scratch` is warm.
+  void decode_into(std::span<const float> llrs, std::span<std::uint8_t> hard,
+                   Scratch& scratch, unsigned max_iterations = 30,
+                   bool* converged = nullptr) const;
 
   /// Syndrome check on hard bits: true when H x == 0.
   [[nodiscard]] bool check(std::span<const std::uint8_t> codeword) const;

@@ -13,6 +13,7 @@
 #include <array>
 #include <atomic>
 #include <cstdlib>
+#include <latch>
 #include <new>
 #include <span>
 #include <vector>
@@ -83,6 +84,8 @@ struct Scenario {
   eq::EqualizerType eq_type;
   const char* name;
   bool batched = true;  ///< exercise the batched symbol-plane pipeline
+  core::FecType fec_type = core::FecType::kBcc;
+  bool stbc = false;
 };
 
 std::vector<std::vector<dsp::cf32>> make_capture(const core::Transmitter& tx,
@@ -107,8 +110,10 @@ void expect_zero_steady_state(const Scenario& sc) {
   phy.mcs = sc.mcs;
   phy.equalizer = sc.eq_type;
   phy.batched_decode = sc.batched;
+  phy.fec_type = sc.fec_type;
+  phy.stbc = sc.stbc;
   const core::Transmitter tx(phy);
-  const auto nss = phy.mcs_info().nss;
+  const auto nss = phy.n_sts();
   const core::Receiver rx(phy, sc.nrx);
   const auto capture = make_capture(tx, nss, sc.nrx);
   const std::vector<std::span<const dsp::cf32>> spans(capture.begin(),
@@ -147,6 +152,22 @@ TEST(AllocFree, MimoBcc) {
 TEST(AllocFree, MimoMlDetector) {
   expect_zero_steady_state({11, 2, eq::EqualizerType::kMaxLikelihood,
                             "2x2 MCS11 ML"});
+}
+
+// LDPC decodes each codeword through the workspace's decoder scratch, and
+// STBC runs the pairwise Alamouti path: both modes keep the contract.
+TEST(AllocFree, LdpcReceive) {
+  expect_zero_steady_state({4, 1, eq::EqualizerType::kMmse, "1x1 MCS4 LDPC",
+                            /*batched=*/true, core::FecType::kLdpc});
+  expect_zero_steady_state({12, 2, eq::EqualizerType::kMmse, "2x2 MCS12 LDPC",
+                            /*batched=*/true, core::FecType::kLdpc});
+}
+
+TEST(AllocFree, StbcReceive) {
+  expect_zero_steady_state({4, 2, eq::EqualizerType::kMmse, "2x2 MCS4 STBC",
+                            /*batched=*/true, core::FecType::kBcc, /*stbc=*/true});
+  expect_zero_steady_state({2, 2, eq::EqualizerType::kMmse, "2x2 MCS2 STBC LDPC",
+                            /*batched=*/true, core::FecType::kLdpc, /*stbc=*/true});
 }
 
 // The reference per-symbol path must stay allocation-free too: the batched
@@ -288,6 +309,23 @@ TEST(AllocFree, TwoPassScanSteadyState) {
   }
 }
 
+/// Warm every worker of `farm` on one capture: a run() with one job per
+/// worker on distinct streams whose event callback waits until every worker
+/// has decoded its frame. A worker blocked in its callback cannot steal, so
+/// each one decodes the frame once, whatever the scheduler does.
+void warm_every_worker(core::ReceiverFarm& farm,
+                       std::span<const std::span<const dsp::cf32>> capture) {
+  const std::size_t n = farm.num_workers();
+  std::vector<core::StreamJob> jobs;
+  for (std::size_t w = 0; w < n; ++w) jobs.push_back({w, capture});
+  std::vector<core::StreamStats> per_stream(n);
+  std::latch decoded(static_cast<std::ptrdiff_t>(n));
+  farm.run(jobs, per_stream, [&decoded](std::size_t, const core::StreamEvent&) {
+    decoded.arrive_and_wait();
+  });
+  for (const auto& st : per_stream) ASSERT_EQ(st.delivered, 1U);
+}
+
 // The farm's contract: after the pool's workspaces, deques and record
 // buffers are warm, a sharded scan and a base-station run over the same
 // shapes perform zero heap allocations across every thread (the hook is
@@ -308,8 +346,10 @@ TEST(AllocFree, FarmSteadyStateShardedScan) {
   core::StreamStats warm;
   std::size_t events = 0;
   const auto on_event = [&events](const core::StreamEvent&) { ++events; };
-  // Two warm-up scans: the first sizes worker workspaces and shard buffers,
-  // the second confirms the shapes are stable before arming the hook.
+  // Warm every worker's workspace, then two warm-up scans: the first sizes
+  // the shard buffers, the second confirms the shapes are stable before
+  // arming the hook.
+  warm_every_worker(farm, spans);
   for (int i = 0; i < 2; ++i) farm.scan(spans, warm, on_event);
   ASSERT_EQ(warm.delivered, 2U);
   ASSERT_EQ(events, 2U);
@@ -337,6 +377,7 @@ TEST(AllocFree, FarmSteadyStateBaseStationRun) {
       {1, std::span<const std::span<const dsp::cf32>>(spans)},
       {0, std::span<const std::span<const dsp::cf32>>(spans)},
   };
+  warm_every_worker(farm, spans);
   std::vector<core::StreamStats> per_stream(2);
   for (int i = 0; i < 2; ++i) farm.run(jobs, per_stream);
   ASSERT_EQ(per_stream[1].delivered, 2U);
