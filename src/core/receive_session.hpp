@@ -42,8 +42,6 @@ struct ReceiveSessionConfig {
   // the farm's sharded and base-station modes inherit these through
   // scan_config().
   std::size_t scan_decimation = 1;
-  float coarse_threshold_scale = 0.6F;
-  std::size_t coarse_min_run = 3;
 
   /// Worker threads for the farm modes. 1 = everything runs on the calling
   /// thread (no pool); 0 = hardware concurrency.
@@ -71,8 +69,6 @@ struct ReceiveSessionConfig {
     scfg.candidate_budget = candidate_budget;
     scfg.max_packets = max_packets;
     scfg.scan_decimation = scan_decimation;
-    scfg.coarse_threshold_scale = coarse_threshold_scale;
-    scfg.coarse_min_run = coarse_min_run;
     return scfg;
   }
   /// workers with 0 resolved to hardware concurrency (at least 1).
@@ -93,8 +89,6 @@ class ReceiveSessionConfig::Builder {
   Builder& candidate_budget(std::size_t n) { cfg_.candidate_budget = n; return *this; }
   Builder& max_packets(std::size_t n) { cfg_.max_packets = n; return *this; }
   Builder& scan_decimation(std::size_t d) { cfg_.scan_decimation = d; return *this; }
-  Builder& coarse_threshold_scale(float s) { cfg_.coarse_threshold_scale = s; return *this; }
-  Builder& coarse_min_run(std::size_t n) { cfg_.coarse_min_run = n; return *this; }
   Builder& workers(std::size_t n) { cfg_.workers = n; return *this; }
   Builder& shards(std::size_t n) { cfg_.shards = n; return *this; }
   Builder& seam(std::size_t samples) { cfg_.seam_samples = samples; return *this; }

@@ -55,10 +55,6 @@ struct StreamReceiverConfig {
   // the decimated coarse pass at 1/D of the correlation work and full-rate
   // detection only inside flagged candidate regions.
   std::size_t scan_decimation = 1;
-  /// Coarse trigger = detector threshold * this scale (in (0, 1]).
-  float coarse_threshold_scale = 0.6F;
-  /// Decimated positions the coarse metric must stay high to open a region.
-  std::size_t coarse_min_run = 3;
 
   class Builder;
   [[nodiscard]] static Builder make();
@@ -67,8 +63,6 @@ struct StreamReceiverConfig {
   [[nodiscard]] sync::ScanMode scan_mode() const noexcept {
     sync::ScanMode m;
     m.decimation = scan_decimation;
-    m.coarse_threshold_scale = coarse_threshold_scale;
-    m.coarse_min_run = coarse_min_run;
     return m;
   }
 };
@@ -80,8 +74,6 @@ class StreamReceiverConfig::Builder {
   Builder& candidate_budget(std::size_t n) { cfg_.candidate_budget = n; return *this; }
   Builder& max_packets(std::size_t n) { cfg_.max_packets = n; return *this; }
   Builder& scan_decimation(std::size_t d) { cfg_.scan_decimation = d; return *this; }
-  Builder& coarse_threshold_scale(float s) { cfg_.coarse_threshold_scale = s; return *this; }
-  Builder& coarse_min_run(std::size_t n) { cfg_.coarse_min_run = n; return *this; }
 
   [[nodiscard]] StreamReceiverConfig build() const { return cfg_; }
   operator StreamReceiverConfig() const { return cfg_; }  // NOLINT(google-explicit-constructor)

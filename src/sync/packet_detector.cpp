@@ -15,6 +15,14 @@ namespace {
 // scratch to O(chunk) regardless of span length.
 constexpr std::size_t kCoarseChunk = 512;
 
+// Coarse trigger = threshold * kCoarseThresholdScale. Loose on purpose: a
+// coarse miss is the only way two-pass can diverge from exhaustive, while a
+// coarse false alarm just costs a bounded full-rate region.
+constexpr float kCoarseThresholdScale = 0.6F;
+// Consecutive decimated positions the coarse metric must stay above the
+// coarse trigger before a region is opened.
+constexpr std::size_t kCoarseMinRun = 3;
+
 /// Antenna-combined sliding statistic at one position: coherent correlation
 /// sum and the correctly normalized metric
 /// |sum_a c_a|^2 / ((sum_a P_lead,a) * (sum_a P_lag,a)).
@@ -117,16 +125,12 @@ PacketDetector::PacketDetector(DetectorConfig cfg, ScanMode scan)
   if (cfg.threshold <= 0.0F || cfg.threshold >= 1.0F) {
     throw std::invalid_argument("PacketDetector: threshold must be in (0, 1)");
   }
-  if (scan.decimation == 0 || scan.coarse_min_run == 0) {
+  if (scan.decimation == 0) {
     throw std::invalid_argument("PacketDetector: zero scan dimension");
   }
   if (cfg.lag % scan.decimation != 0) {
     throw std::invalid_argument(
         "PacketDetector: decimation must divide the correlation lag");
-  }
-  if (scan.coarse_threshold_scale <= 0.0F || scan.coarse_threshold_scale > 1.0F) {
-    throw std::invalid_argument(
-        "PacketDetector: coarse_threshold_scale must be in (0, 1]");
   }
 }
 
@@ -204,7 +208,7 @@ std::size_t PacketDetector::scan_coarse(
                                         scratch.coarse[a]);
   }
   const std::size_t n_pos = scratch.coarse[0].metric.size();
-  const float trigger = cfg_.threshold * scan_.coarse_threshold_scale;
+  const float trigger = cfg_.threshold * kCoarseThresholdScale;
 
   std::size_t run = 0;
   std::size_t run_start = 0;
@@ -214,13 +218,13 @@ std::size_t PacketDetector::scan_coarse(
       if (run == 0) run_start = i;
       ++run;
     } else {
-      if (run >= scan_.coarse_min_run) {
+      if (run >= kCoarseMinRun) {
         regions.push_back({run_start * d, i * d});
       }
       run = 0;
     }
   }
-  if (run >= scan_.coarse_min_run) regions.push_back({run_start * d, n_pos * d});
+  if (run >= kCoarseMinRun) regions.push_back({run_start * d, n_pos * d});
   return n_pos;
 }
 
@@ -231,7 +235,7 @@ std::optional<Detection> PacketDetector::detect_two_pass(
   const std::size_t n_ant = rx_antennas.size();
   const std::size_t d = scan_.decimation;
   const std::size_t cw = coarse_window();
-  const float trigger = cfg_.threshold * scan_.coarse_threshold_scale;
+  const float trigger = cfg_.threshold * kCoarseThresholdScale;
 
   scratch.full.resize(n_ant);
   scratch.coarse.resize(n_ant);
@@ -302,7 +306,7 @@ std::optional<Detection> PacketDetector::detect_two_pass(
       }
       if (crun == 0) cstart = p;
       ++crun;
-      if (crun < scan_.coarse_min_run) continue;
+      if (crun < kCoarseMinRun) continue;
 
       const std::size_t rb = (cstart > back_margin) ? cstart - back_margin : 0;
       const std::size_t hard_end = p + d + fwd_margin;

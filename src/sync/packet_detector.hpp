@@ -43,13 +43,6 @@ struct ScanMode {
   /// Coarse-pass stride. Must divide DetectorConfig::lag (the decimated STF
   /// is then still periodic at the same absolute lag). 1 = exhaustive.
   std::size_t decimation = 1;
-  /// Coarse trigger = threshold * this scale. Loose on purpose: a coarse
-  /// miss is the only way two-pass can diverge from exhaustive, while a
-  /// coarse false alarm just costs a bounded full-rate region.
-  float coarse_threshold_scale = 0.6F;
-  /// Consecutive decimated positions the coarse metric must stay above the
-  /// coarse trigger before a region is opened.
-  std::size_t coarse_min_run = 3;
 };
 
 /// A candidate region flagged by the coarse pass, in sample positions of

@@ -501,14 +501,6 @@ TEST(PacketDetector, ScanModeValidation) {
   scan.decimation = 0;
   EXPECT_THROW(sync::PacketDetector(sync::DetectorConfig{}, scan),
                std::invalid_argument);
-  scan.decimation = 4;
-  scan.coarse_threshold_scale = 1.5F;
-  EXPECT_THROW(sync::PacketDetector(sync::DetectorConfig{}, scan),
-               std::invalid_argument);
-  scan.coarse_threshold_scale = 0.6F;
-  scan.coarse_min_run = 0;
-  EXPECT_THROW(sync::PacketDetector(sync::DetectorConfig{}, scan),
-               std::invalid_argument);
 }
 
 TEST(PacketDetector, TwoPassMatchesExhaustiveOnStfBurst) {
