@@ -10,6 +10,9 @@
 //              exhaustive-scan baseline the coarse pass gates;
 //   e2e      — StreamReceiver::scan end to end (detect + sync + decode),
 //              exhaustive vs two-pass.
+// Three cases fill the air densely (600-sample gaps); the fourth puts the
+// frames on 5% of the air time, where the idle gaps two-pass skips
+// dominate the scan.
 // The two-pass end-to-end scan must deliver records identical to the
 // exhaustive scan on every case — this bench re-checks that on its own
 // captures, so the throughput figures can never drift away from the
@@ -50,8 +53,11 @@ struct Stream {
 };
 
 /// Same capture shape as E18: `n_packets` PPDUs with idle gaps, clean flat
-/// channel; when `faulted`, a CW interferer burst in every other gap.
-Stream make_stream(unsigned mcs, std::size_t n_packets, bool faulted) {
+/// channel; when `faulted`, a CW interferer burst in every other gap. The
+/// gaps are kGapLen samples, or with `air_pct` > 0 long enough that the
+/// frames fill that percentage of the capture.
+Stream make_stream(unsigned mcs, std::size_t n_packets, bool faulted,
+                   std::size_t air_pct) {
   Stream s;
   s.phy.mcs = mcs;
   s.n_packets = n_packets;
@@ -65,6 +71,8 @@ Stream make_stream(unsigned mcs, std::size_t n_packets, bool faulted) {
   }
   const auto psdu = wifi::build_psdu(wifi::MacHeader{}, payload);
   const auto streams = tx.transmit(psdu);
+  const std::size_t gap =
+      air_pct == 0 ? kGapLen : streams[0].size() * (100 - air_pct) / air_pct;
 
   channel::FaultPlan plan;
   std::vector<std::vector<cf32>> concat(nss);
@@ -75,7 +83,7 @@ Stream make_stream(unsigned mcs, std::size_t n_packets, bool faulted) {
     }
     for (std::size_t c = 0; c < nss; ++c) {
       concat[c].insert(concat[c].end(), streams[c].begin(), streams[c].end());
-      if (p + 1 < n_packets) concat[c].resize(concat[c].size() + kGapLen);
+      if (p + 1 < n_packets) concat[c].resize(concat[c].size() + gap);
     }
   }
 
@@ -201,6 +209,7 @@ struct Case {
   const char* name;
   unsigned mcs;
   bool faulted;
+  std::size_t air_pct = 0;  ///< 0: kGapLen gaps
 };
 
 }  // namespace
@@ -222,6 +231,7 @@ int main() {
       {"1x1_mcs7_clean", 7, false},
       {"1x1_mcs7_faulted_gaps", 7, true},
       {"2x2_mcs15_clean", 15, false},
+      {"2x2_mcs15_5pct_air", 15, false, 5},
   };
 
   const bench::Table table({"case", "coarse", "full", "full-sc", "e2e-exh",
@@ -239,7 +249,7 @@ int main() {
   double coarse_2x2_clean = 0.0;
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const auto& c = cases[i];
-    const Stream s = make_stream(c.mcs, n_packets, c.faulted);
+    const Stream s = make_stream(c.mcs, n_packets, c.faulted, c.air_pct);
     const ScanFigures f = run_case(s);
     all_identical = all_identical && f.records_identical;
     if (std::string(c.name) == "2x2_mcs15_clean") coarse_2x2_clean = f.coarse_msps;
@@ -252,6 +262,7 @@ int main() {
     bench::JsonReport cj(c.name);
     cj.field("mcs", c.mcs);
     cj.field("faulted_gaps", c.faulted);
+    if (c.air_pct != 0) cj.field("air_pct", c.air_pct);
     cj.field("coarse_msamp_s", f.coarse_msps);
     cj.field("full_kernel_msamp_s", f.full_msps);
     cj.field("full_kernel_scalar_msamp_s", f.full_scalar_msps);

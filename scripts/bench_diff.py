@@ -9,8 +9,11 @@ Two bench families are understood, auto-detected from the top-level "bench"
 key of the new results:
 
   stream  (BENCH_stream.json)  — gates the "scan" table's decimated coarse
-      pass and full-rate correlation kernel, ISSUE 7's real-time budget.
-      End-to-end figures are decode-dominated and reported but not gated.
+      pass and full-rate correlation kernel (the real-time scan budget) on
+      every baseline case: three dense captures and the 5%-air-time 2x2
+      capture. A baseline case missing from the new results, or one whose
+      two-pass records diverged, fails. End-to-end figures are
+      decode-dominated and reported but not gated.
 
   hotpath (BENCH_hotpath.json) — gates the E17 e2e samples/sec cases and the
       E21 "decode" table's batched decode-only samples/sec, plus the

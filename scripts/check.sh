@@ -161,9 +161,12 @@ for key in ("packets_per_capture", "decimation", "simd_active", "cases",
             "coarse_2x2_clean_msamp_s", "meets_20msps_bar"):
     assert key in scan, f"missing scan key: {key}"
 assert scan["meets_20msps_bar"] is True, "coarse pass below 20 Msamp/s"
-cases = scan["cases"]
-assert isinstance(cases, list) and len(cases) == 3, "want 3 scan cases"
-for c in cases:
+cases = {c["bench"]: c for c in scan["cases"]}
+want = {"1x1_mcs7_clean", "1x1_mcs7_faulted_gaps", "2x2_mcs15_clean",
+        "2x2_mcs15_5pct_air"}
+assert set(cases) == want, f"want scan cases {sorted(want)}, got {sorted(cases)}"
+assert cases["2x2_mcs15_5pct_air"]["air_pct"] == 5, "sparse case not at 5% air"
+for c in cases.values():
     for key in ("bench", "mcs", "coarse_msamp_s", "full_kernel_msamp_s",
                 "full_kernel_scalar_msamp_s", "e2e_exhaustive_msamp_s",
                 "e2e_twopass_msamp_s", "delivered", "records_identical"):
