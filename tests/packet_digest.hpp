@@ -5,6 +5,8 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -33,6 +35,13 @@ class Digest {
  private:
   std::uint64_t h_ = 0xCBF29CE484222325ULL;
 };
+
+/// A digest as 0x-prefixed hex, so a failed pin prints the value to record.
+inline std::string hex(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "0x%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
 
 inline void hash_snr(Digest& d, const chanest::SnrEstimate& s) {
   d.pod(s.snr_db);

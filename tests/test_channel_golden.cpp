@@ -17,8 +17,6 @@
 
 #include <array>
 #include <cstdint>
-#include <cstdio>
-#include <string>
 #include <vector>
 
 #include "channel/mimo_channel.hpp"
@@ -32,12 +30,7 @@ using namespace mimonet;
 using channel::DelayProfile;
 using dsp::cf32;
 using testutil::Digest;
-
-std::string hex(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "0x%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
+using testutil::hex;
 
 /// Unit-power-ish TX streams from splitmix64 alone, so the input never
 /// depends on the generators under test.

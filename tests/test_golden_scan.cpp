@@ -19,9 +19,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <cstdio>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "channel/fault_plan.hpp"
@@ -41,6 +39,7 @@ namespace {
 using namespace mimonet;
 using dsp::cf32;
 using testutil::Digest;
+using testutil::hex;
 
 /// Every scan path's event stream. The farm must match the exhaustive scan
 /// by contract; on this capture the two-pass candidate regions also
@@ -55,12 +54,6 @@ constexpr std::size_t kPad = 200;
 /// Seam for the 4-worker farm: covers the largest frame plus the re-align
 /// margin, yet is short enough that later shards start mid-capture.
 constexpr std::size_t kSeam = 6000;
-
-std::string hex(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "0x%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
 
 void hash_event(Digest& d, const core::StreamEvent& ev) {
   d.pod(ev.offset);
