@@ -138,75 +138,10 @@ WorkStatus MimoChannelBlock::work() {
 // ---------------------------------------------------------------- RX block
 
 ReceiverBlock::ReceiverBlock(PhyConfig cfg, std::size_t nrx, std::size_t attempt_window)
-    : Block("mimonet_rx"), srx_(cfg, nrx), nrx_(nrx), attempt_window_(attempt_window) {
+    : Block("mimonet_rx"), srx_(cfg, nrx), nrx_(nrx), attempt_window_(attempt_window),
+      scan_at_(attempt_window) {
   for (std::size_t r = 0; r < nrx; ++r) add_input<cf32>();
   window_.resize(nrx);
-}
-
-std::size_t ReceiverBlock::process_window(bool flush) {
-  const std::size_t len = window_[0].size();
-  // Retained past every consume so an undetected partial preamble at the
-  // window tail survives into the next scan (> full HT preamble).
-  constexpr std::size_t kOverlap = 700;
-
-  scan_events_.clear();
-  spans_.assign(window_.begin(), window_.end());
-  StreamStats scratch;  // rebuilt from committed events instead (below)
-  srx_.scan(spans_, ws_, scratch, [this](const StreamEvent& ev) {
-    StreamRecord rec;
-    rec.offset = ev.offset;
-    rec.error = ev.error;
-    if (ev.packet != nullptr) {
-      rec.has_packet = true;
-      rec.packet = *ev.packet;
-    }
-    scan_events_.push_back(std::move(rec));
-  });
-
-  // Pick the consume point. A truncated candidate may be a frame still
-  // streaming in: hold the window at the first one and wait. (The scan goes
-  // on past a truncated frame whose extent nothing but HT-SIG announces, so
-  // that one need not be the last event.) Otherwise drop everything but the
-  // overlap tail, extended past every corroborated frame extent.
-  const auto truncated = std::find_if(
-      scan_events_.begin(), scan_events_.end(), [](const StreamRecord& rec) {
-        return rec.error == metrics::RxError::kTruncated;
-      });
-  std::size_t consume;
-  if (flush) {
-    consume = len;
-  } else if (truncated != scan_events_.end()) {
-    consume = truncated->offset;
-  } else {
-    consume = len > kOverlap ? len - kOverlap : 0;
-    for (const auto& rec : scan_events_) {
-      if (!rec.has_packet) continue;
-      if (const auto ext = corroborated_frame_samples(rec.packet, srx_.config())) {
-        consume = std::max(consume, std::min(len, rec.offset + *ext));
-      }
-    }
-  }
-
-  // Commit events the consume point covers; deferred ones keep their
-  // samples in the window and are re-scanned (and committed exactly once)
-  // later. On flush everything commits.
-  for (auto& rec : scan_events_) {
-    if (!flush && rec.offset >= consume) continue;
-    stats_.errors.add(rec.error);
-    if (rec.error == metrics::RxError::kBudgetExceeded) {
-      ++stats_.budget_exhaustions;
-      continue;
-    }
-    if (rec.has_packet && rec.packet.htsig_ok) {
-      ++stats_.frames;
-      if (rec.packet.fcs_ok) ++stats_.delivered;
-    } else {
-      ++stats_.resync_events;
-    }
-    if (rec.has_packet) packets_.push_back(std::move(rec.packet));
-  }
-  stats_.samples_scanned += consume;
-  return consume;
 }
 
 WorkStatus ReceiverBlock::work() {
@@ -217,28 +152,64 @@ WorkStatus ReceiverBlock::work() {
     for (std::size_t r = 0; r < nrx_; ++r) n = std::min(n, in<cf32>(r).readable());
     if (n == 0) break;
     for (std::size_t r = 0; r < nrx_; ++r) {
-      std::vector<cf32> chunk(n);
-      in<cf32>(r).peek(chunk);
+      auto& w = window_[r];
+      w.resize(w.size() + n);
+      in<cf32>(r).peek(std::span<cf32>(w).last(n));
       in<cf32>(r).consume(n);
-      window_[r].insert(window_[r].end(), chunk.begin(), chunk.end());
     }
+    stats_.samples_scanned += n;
     progress = true;
   }
 
-  const bool inputs_done = all_inputs_done();
-  while (window_[0].size() >= attempt_window_ ||
-         (inputs_done && !window_[0].empty())) {
-    const std::size_t drop = process_window(inputs_done);
-    if (drop == 0) break;
-    for (auto& w : window_) {
-      w.erase(w.begin(), w.begin() + static_cast<std::ptrdiff_t>(
-                             std::min(drop, w.size())));
-    }
-    progress = true;
-    if (window_[0].empty()) break;
+  const bool done = all_inputs_done();
+  const std::size_t end = window_[0].size();
+  if (!done && end < scan_at_) {
+    return progress ? WorkStatus::kProgress : WorkStatus::kIdle;
   }
 
-  if (inputs_done && window_[0].empty()) return WorkStatus::kDone;
+  // Resume the scan from the cursor. Until the stream ends, the engine
+  // stops on a truncated candidate instead of reporting it, and leaves the
+  // cursor there.
+  spans_.assign(window_.begin(), window_.end());
+  const ScanWindow win{.more_follows = !done};
+  const std::size_t budget = srx_.stream_config().candidate_budget;
+  for (;;) {
+    srx_.scan_window(spans_, ws_, stats_,
+                     [this](const StreamEvent& ev) {
+                       if (ev.packet != nullptr) packets_.push_back(*ev.packet);
+                     },
+                     win, cursor_);
+    if (budget == 0 || cursor_.failed_candidates <= budget) break;
+    // A watchdog stop, reported by the engine, which left the cursor past
+    // the abandoned attempt. A capture may be abandoned, a stream may not:
+    // start the count afresh and scan on.
+    cursor_.failed_candidates = 0;
+  }
+  if (done) return WorkStatus::kDone;
+
+  // Retained past an idle scan so an undetected partial preamble at the
+  // window tail is found by the next one (> full HT preamble).
+  constexpr std::size_t kOverlap = 700;
+  if (ws_.packet.error == metrics::RxError::kNoSync && cursor_.pos + kOverlap < end) {
+    // Nothing detectable before the tail: resume there, and never rewind
+    // into the air already found idle.
+    cursor_.pos = end - kOverlap;
+    cursor_.rewind_barrier = std::max(cursor_.rewind_barrier, cursor_.pos);
+  }
+  // Scan again once the samples past the cursor have doubled: a frame
+  // still streaming in is retried O(log extent) times, each attempt
+  // costing only its preamble.
+  const std::size_t ahead = end > cursor_.pos ? end - cursor_.pos : 0;
+  scan_at_ = cursor_.pos + std::max(attempt_window_, 2 * ahead);
+
+  // Drop what no later attempt or rewind can read.
+  const std::size_t drop = std::min(cursor_.pos, cursor_.rewind_barrier);
+  for (auto& w : window_) {
+    w.erase(w.begin(), w.begin() + static_cast<std::ptrdiff_t>(drop));
+  }
+  cursor_.pos -= drop;
+  cursor_.rewind_barrier -= drop;
+  scan_at_ -= drop;
   return progress ? WorkStatus::kProgress : WorkStatus::kIdle;
 }
 

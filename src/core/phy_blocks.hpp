@@ -61,14 +61,18 @@ class MimoChannelBlock final : public flowgraph::Block {
   double cfo_phase_ = 0.0;
 };
 
-/// Sink block: accumulates nrx streams and runs the streaming scan engine
-/// over a sliding window; decoded packets pile up in packets() and the
-/// block keeps session-style StreamStats with the full RxError taxonomy.
-/// Every committed scan event contributes a packet record (including failed
-/// candidates — their error field says why), so packets() doubles as the
-/// block's event log.
+/// Sink block: buffers nrx streams and drives the streaming scan engine
+/// over them with one ScanCursor kept across work() calls, so the scan
+/// runs over the stream once, however the samples arrive, and finds what
+/// StreamReceiver::receive_all finds on the whole stream. Decoded packets
+/// pile up in packets() and the block keeps session-style StreamStats with
+/// the full RxError taxonomy, both straight from the engine. Every scan
+/// event contributes a packet record (including failed candidates — their
+/// error field says why), so packets() doubles as the block's event log.
 class ReceiverBlock final : public flowgraph::Block {
  public:
+  /// The block scans once `attempt_window` samples past its cursor are
+  /// buffered (and at the end of the stream).
   ReceiverBlock(PhyConfig cfg, std::size_t nrx,
                 std::size_t attempt_window = 1U << 15U);
 
@@ -77,23 +81,26 @@ class ReceiverBlock final : public flowgraph::Block {
   [[nodiscard]] const std::vector<RxPacket>& packets() const noexcept {
     return packets_;
   }
-  /// Receive statistics over everything the block has committed so far.
+  /// Receive statistics over everything the block has scanned so far.
   [[nodiscard]] const StreamStats& stats() const noexcept { return stats_; }
+  /// Receive attempts the block's scan has run: its work, counted.
+  [[nodiscard]] std::size_t scan_attempts() const noexcept {
+    return cursor_.attempts;
+  }
 
  private:
-  /// Scan the buffered window, commit the events the consume point covers
-  /// (deferred ones stay buffered and are re-scanned once complete);
-  /// returns the samples to drop from the window head.
-  std::size_t process_window(bool flush);
-
   StreamReceiver srx_;
   std::size_t nrx_;
   std::size_t attempt_window_;
-  std::vector<std::vector<cf32>> window_;  // per antenna
+  /// Per antenna: the samples from the oldest one a later attempt or
+  /// rewind may read; cursor_ and scan_at_ count from its first sample.
+  std::vector<std::vector<cf32>> window_;
+  std::vector<std::span<const cf32>> spans_;  // per-scan scratch
+  ScanCursor cursor_;
+  /// Buffered samples at which the next scan runs.
+  std::size_t scan_at_;
   RxWorkspace ws_;
   StreamStats stats_;
-  std::vector<StreamRecord> scan_events_;        // per-scan scratch
-  std::vector<std::span<const cf32>> spans_;     // per-scan scratch
   std::vector<RxPacket> packets_;
 };
 

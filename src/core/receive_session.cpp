@@ -31,13 +31,13 @@ std::size_t ReceiveSessionConfig::resolved_seam(const PhyConfig& phy) const {
   // Plus a re-alignment margin: a shard scan entering mid-packet burns a
   // few resync hops (and possibly one bounded rewind) inside its lead-in
   // before locking onto the first candidate it owns.
-  return fl.total_samples() + 8 * resync_advance + 256;
+  return fl.total_samples() + 8 * scan.resync_advance + 256;
 }
 
 ReceiveSession::ReceiveSession(PhyConfig phy, std::size_t nrx,
                                ReceiveSessionConfig cfg)
     : cfg_(cfg),
-      engine_(std::move(phy), nrx, cfg.scan_config()),
+      engine_(std::move(phy), nrx, cfg.scan),
       nrx_(nrx),
       ws_(std::make_unique<RxWorkspace>()) {}
 
@@ -113,7 +113,7 @@ void ReceiveSession::scan(std::span<const std::span<const cf32>> capture,
                           const EventFn& on_event) {
   // max_packets caps the *global* frame count, which has no per-shard
   // meaning — such scans stay on the calling thread regardless of workers.
-  if (cfg_.resolved_workers() > 1 && cfg_.max_packets == 0) {
+  if (cfg_.resolved_workers() > 1 && cfg_.scan.max_packets == 0) {
     farm().scan(capture, stats_, on_event);
   } else {
     engine_.scan(capture, *ws_, stats_, on_event);
@@ -125,16 +125,7 @@ std::vector<StreamRecord> ReceiveSession::receive_all(
   std::vector<StreamRecord> out;
   std::vector<std::span<const cf32>> spans(capture.begin(), capture.end());
   scan(std::span<const std::span<const cf32>>(spans),
-       [&out](const StreamEvent& ev) {
-         StreamRecord rec;
-         rec.offset = ev.offset;
-         rec.error = ev.error;
-         if (ev.packet != nullptr) {
-           rec.has_packet = true;
-           rec.packet = *ev.packet;
-         }
-         out.push_back(std::move(rec));
-       });
+       [&out](const StreamEvent& ev) { out.emplace_back() = ev; });
   return out;
 }
 

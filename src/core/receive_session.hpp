@@ -27,21 +27,14 @@ class MuUplinkReceiver;  // core/mu_receiver.hpp
 struct MuRxPacket;
 struct MuRxWorkspace;
 
-/// Everything a receive session can be told: the scan-loop policy knobs the
+/// Everything a receive session can be told: the scan-loop policy the
 /// StreamReceiver engine keys on, plus the parallelism shape (workers,
 /// shards, seam) the farm adds. Aggregate with usable defaults; fluent
 /// builder for the common spellings.
 struct ReceiveSessionConfig {
-  // Scan-loop policy (see StreamReceiverConfig for semantics).
-  std::size_t min_advance = 16;
-  std::size_t resync_advance = 80;
-  std::size_t candidate_budget = 4096;
-  std::size_t max_packets = 0;
-
-  // Two-pass front-end scan (see StreamReceiverConfig / sync::ScanMode);
-  // the farm's sharded and base-station modes inherit these through
-  // scan_config().
-  std::size_t scan_decimation = 1;
+  /// Scan-loop policy and two-pass front end (see StreamReceiverConfig);
+  /// the farm's sharded and base-station modes scan with it too.
+  StreamReceiverConfig scan;
 
   /// Worker threads for the farm modes. 1 = everything runs on the calling
   /// thread (no pool); 0 = hardware concurrency.
@@ -61,15 +54,9 @@ struct ReceiveSessionConfig {
   class Builder;
   [[nodiscard]] static Builder make();
 
-  /// Projection onto the single-worker scan engine's config.
-  [[nodiscard]] StreamReceiverConfig scan_config() const noexcept {
-    StreamReceiverConfig scfg;
-    scfg.min_advance = min_advance;
-    scfg.resync_advance = resync_advance;
-    scfg.candidate_budget = candidate_budget;
-    scfg.max_packets = max_packets;
-    scfg.scan_decimation = scan_decimation;
-    return scfg;
+  /// The single-worker scan engine's config.
+  [[nodiscard]] const StreamReceiverConfig& scan_config() const noexcept {
+    return scan;
   }
   /// workers with 0 resolved to hardware concurrency (at least 1).
   [[nodiscard]] std::size_t resolved_workers() const;
@@ -84,11 +71,11 @@ struct ReceiveSessionConfig {
 
 class ReceiveSessionConfig::Builder {
  public:
-  Builder& min_advance(std::size_t n) { cfg_.min_advance = n; return *this; }
-  Builder& resync_advance(std::size_t n) { cfg_.resync_advance = n; return *this; }
-  Builder& candidate_budget(std::size_t n) { cfg_.candidate_budget = n; return *this; }
-  Builder& max_packets(std::size_t n) { cfg_.max_packets = n; return *this; }
-  Builder& scan_decimation(std::size_t d) { cfg_.scan_decimation = d; return *this; }
+  Builder& min_advance(std::size_t n) { cfg_.scan.min_advance = n; return *this; }
+  Builder& resync_advance(std::size_t n) { cfg_.scan.resync_advance = n; return *this; }
+  Builder& candidate_budget(std::size_t n) { cfg_.scan.candidate_budget = n; return *this; }
+  Builder& max_packets(std::size_t n) { cfg_.scan.max_packets = n; return *this; }
+  Builder& scan_decimation(std::size_t d) { cfg_.scan.scan_decimation = d; return *this; }
   Builder& workers(std::size_t n) { cfg_.workers = n; return *this; }
   Builder& shards(std::size_t n) { cfg_.shards = n; return *this; }
   Builder& seam(std::size_t samples) { cfg_.seam_samples = samples; return *this; }

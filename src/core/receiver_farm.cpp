@@ -9,21 +9,13 @@ namespace mimonet::core {
 
 void ReceiverFarm::RecordBuffer::push(const StreamEvent& ev) {
   if (used == recs.size()) recs.emplace_back();
-  StreamRecord& r = recs[used++];
-  r.offset = ev.offset;
-  r.error = ev.error;
-  r.has_packet = ev.packet != nullptr;
-  if (r.has_packet) {
-    // Copy-assignment reuses the record's vector capacities, so a warm
-    // buffer records a packet without touching the heap.
-    r.packet = *ev.packet;
-  }
+  recs[used++] = ev;
 }
 
 ReceiverFarm::ReceiverFarm(PhyConfig phy, std::size_t nrx,
                            ReceiveSessionConfig cfg)
     : cfg_(cfg),
-      engine_(phy, nrx, cfg.scan_config()),
+      engine_(phy, nrx, cfg.scan),
       nrx_(nrx),
       seam_(cfg.resolved_seam(phy)) {
   const std::size_t n = cfg_.resolved_workers();
@@ -75,9 +67,11 @@ void ReceiverFarm::execute(std::size_t w, std::size_t idx) {
   Worker& wk = *workers_[w];
   if (mode_ == Mode::kShards) {
     RecordBuffer& rb = shard_records_[idx];
+    const Shard& shard = shards_[idx];
+    ScanCursor cursor = shard.start;
     engine_.scan_window(
         capture_, *wk.ws, shard_stats_[idx],
-        [&rb](const StreamEvent& ev) { rb.push(ev); }, shard_windows_[idx]);
+        [&rb](const StreamEvent& ev) { rb.push(ev); }, shard.window, cursor);
   } else {
     const StreamJob& job = jobs_[idx];
     wk.scratch.reset();
@@ -165,28 +159,25 @@ void ReceiverFarm::scan(std::span<const std::span<const cf32>> capture,
       throw std::invalid_argument("ReceiverFarm::scan: ragged capture");
     }
   }
-  if (cfg_.max_packets != 0) {
+  if (cfg_.scan.max_packets != 0) {
     throw std::invalid_argument(
         "ReceiverFarm::scan: max_packets has no per-shard meaning; use a "
         "single-worker session");
   }
 
   const std::size_t n_shards = cfg_.resolved_shards();
-  shard_windows_.clear();
+  shards_.clear();
   for (std::size_t i = 0; i < n_shards; ++i) {
     const std::size_t own_begin = len * i / n_shards;
     const std::size_t own_end = len * (i + 1) / n_shards;
     if (own_begin == own_end) continue;  // degenerate shard of a tiny capture
-    ScanWindow win;
-    win.own_begin = own_begin;
-    win.own_end = own_end;
-    win.begin = own_begin > seam_ ? own_begin - seam_ : 0;
-    win.stop = own_end;
-    win.visible_end = std::min(len, own_end + seam_);
-    win.count_samples = false;  // counted once at merge, not per window
-    shard_windows_.push_back(win);
+    const std::size_t begin = own_begin > seam_ ? own_begin - seam_ : 0;
+    shards_.push_back({ScanCursor{.pos = begin, .rewind_barrier = begin},
+                       ScanWindow{.visible_end = std::min(len, own_end + seam_),
+                                  .own_begin = own_begin,
+                                  .own_end = own_end}});
   }
-  const std::size_t n_win = shard_windows_.size();
+  const std::size_t n_win = shards_.size();
   if (shard_stats_.size() < n_win) shard_stats_.resize(n_win);
   if (shard_records_.size() < n_win) shard_records_.resize(n_win);
   for (std::size_t j = 0; j < n_win; ++j) {

@@ -93,6 +93,13 @@ class ReceiverFarm {
     void push(const StreamEvent& ev);
   };
 
+  /// One shard of a sharded scan: where its scan starts (a seam-wide
+  /// lead-in before the range it owns) and the window it scans.
+  struct Shard {
+    ScanCursor start;
+    ScanWindow window;
+  };
+
   struct Worker {
     std::thread thread;
     std::unique_ptr<RxWorkspace> ws;
@@ -135,7 +142,7 @@ class ReceiverFarm {
   // read-only to workers during the epoch.
   Mode mode_ = Mode::kIdle;
   std::span<const std::span<const cf32>> capture_;
-  std::vector<ScanWindow> shard_windows_;
+  std::vector<Shard> shards_;
   std::vector<StreamStats> shard_stats_;
   std::vector<RecordBuffer> shard_records_;
   std::span<const StreamJob> jobs_;

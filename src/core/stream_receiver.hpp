@@ -99,28 +99,50 @@ struct StreamRecord {
   metrics::RxError error = metrics::RxError::kOk;
   bool has_packet = false;
   RxPacket packet;
+
+  /// Copy an event in. The packet is copy-assigned, so a record reused
+  /// for many events keeps its vector capacities and stops allocating.
+  StreamRecord& operator=(const StreamEvent& ev);
 };
 
-/// Restriction of a scan to a window of the capture — the overlap-save
-/// primitive the sharded farm is built on. The scan iterates from `begin`
-/// while its position stays below `stop` and sees no samples at or beyond
-/// `visible_end`. Ownership follows the scan path: the window delivers
-/// events (and counts stats) from its first candidate whose frame start
-/// is at or past `own_begin` on — a rewind below own_begin after that stays
+/// Restriction of a scan to part of the capture — the overlap-save
+/// primitive the sharded farm is built on. The scan sees no samples at or
+/// beyond `visible_end`. Ownership follows the scan path: the scan delivers
+/// events (and counts stats) from its first candidate whose frame start is
+/// at or past `own_begin` on — a rewind below own_begin after that stays
 /// its own — and ends at its first candidate at or past `own_end` without
-/// reporting it or rewinding from it. Candidates before entry are still
-/// *decoded* — that is what re-aligns a scan that entered mid-packet — but
-/// are someone else's to report.
+/// reporting it or rewinding from it, or once its position reaches
+/// `own_end`. Candidates before entry are still *decoded* — that is what
+/// re-aligns a scan that entered mid-packet — but are someone else's to
+/// report.
 struct ScanWindow {
-  std::size_t begin = 0;
-  std::size_t stop = static_cast<std::size_t>(-1);
   std::size_t visible_end = static_cast<std::size_t>(-1);
   std::size_t own_begin = 0;
   std::size_t own_end = static_cast<std::size_t>(-1);
-  /// Add the window's sample count to stats.samples_scanned (the farm
-  /// counts the capture once at merge instead of once per overlapping
-  /// window).
-  bool count_samples = true;
+  /// More samples will follow the visible ones: a truncated candidate may
+  /// be a frame still streaming in, so the scan stops on it, neither
+  /// reporting it nor moving past it, and leaves the cursor there for a
+  /// later call that sees more of it.
+  bool more_follows = false;
+};
+
+/// The scan's whole state between candidates. scan_window() starts from a
+/// cursor and leaves it where the scan stopped, so a caller whose capture
+/// grows (ReceiverBlock) resumes the scan instead of repeating it.
+struct ScanCursor {
+  /// Where the next receive attempt starts.
+  std::size_t pos = 0;
+  /// Rewinds land at or after this: past every earlier candidate's start
+  /// and never before where the scan began.
+  std::size_t rewind_barrier = 0;
+  /// Watchdog count: owned failed candidates since the last frame.
+  std::size_t failed_candidates = 0;
+  /// Frames counted toward StreamReceiverConfig::max_packets.
+  std::size_t frames = 0;
+  /// The scan has met its first candidate at or past own_begin.
+  bool entered = false;
+  /// Receive attempts run so far: the scan's work, counted.
+  std::size_t attempts = 0;
 };
 
 /// Multi-packet scanning receiver. Construct once per configuration; scans
@@ -150,26 +172,13 @@ class StreamReceiver {
   void scan(std::span<const std::span<const cf32>> capture, RxWorkspace& ws,
             StreamStats& stats, const EventFn& on_event) const;
 
-  /// Windowed scan over a region of the capture (see ScanWindow). scan() is
-  /// exactly scan_window() with the default all-of-it window.
+  /// The scan loop itself: continue from `cursor` over the window of the
+  /// capture (see ScanWindow) and leave the cursor where the scan stopped.
+  /// scan() is one call from ScanCursor{} over the whole capture. Adds
+  /// nothing to stats.samples_scanned: each caller counts its own samples.
   void scan_window(std::span<const std::span<const cf32>> capture,
                    RxWorkspace& ws, StreamStats& stats, const EventFn& on_event,
-                   const ScanWindow& window) const;
-
-  /// HARQ soft-combining scans: every candidate decode runs through
-  /// Receiver's combining overload with `harq` (see core::HarqDecode). Meant
-  /// for single-frame retransmission captures — an ARQ link scanning one
-  /// retry slot — where the prior soft state belongs to the one expected
-  /// frame; on a multi-packet capture the same prior would be offered to
-  /// every candidate (harmless when lengths differ, but not chase
-  /// combining). A default HarqDecode{} makes these bit-identical to the
-  /// plain overloads.
-  void scan(std::span<const std::span<const cf32>> capture, RxWorkspace& ws,
-            StreamStats& stats, const EventFn& on_event,
-            const HarqDecode& harq) const;
-  void scan_window(std::span<const std::span<const cf32>> capture,
-                   RxWorkspace& ws, StreamStats& stats, const EventFn& on_event,
-                   const ScanWindow& window, const HarqDecode& harq) const;
+                   const ScanWindow& window, ScanCursor& cursor) const;
 
  private:
   StreamReceiverConfig scfg_;

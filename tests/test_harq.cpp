@@ -1,5 +1,5 @@
-// HARQ chase combining: HarqBuffer lifecycle, the Receiver/StreamReceiver
-// combining decode mode's attempt-1 bit-identity pin, and the regression
+// HARQ chase combining: HarqBuffer lifecycle, the Receiver combining
+// decode mode's attempt-1 bit-identity pin, and the regression
 // that matters — at a pinned SNR where standalone retries all fail, summing
 // the same attempts' LLRs decodes.
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include "channel/mimo_channel.hpp"
 #include "core/harq_buffer.hpp"
 #include "core/receiver.hpp"
-#include "core/stream_receiver.hpp"
 #include "core/transmitter.hpp"
 #include "core/workspace.hpp"
 #include "wifi/psdu.hpp"
@@ -256,62 +255,6 @@ TEST(HarqDecodeMode, CombinedStreamKeepsImproving) {
   for (std::size_t i = 0; i < first.size(); ++i) {
     EXPECT_FLOAT_EQ(ws_b.harq_combined[i], first[i] + ws_c.harq_combined[i]);
   }
-}
-
-// ------------------------------------------------- StreamReceiver plumbing
-
-TEST(StreamReceiverHarq, DefaultHarqScanMatchesPlainScan) {
-  auto s = make_scenario(5, 22.0, 1, 99);
-  const core::StreamReceiver srx(s.phy, 1);
-
-  core::RxWorkspace ws1;
-  core::StreamStats st1;
-  std::vector<core::RxPacket> got1;
-  srx.scan(stage(s.attempts[0].capture, ws1), ws1, st1,
-           [&](const core::StreamEvent& ev) {
-             if (ev.packet != nullptr) got1.push_back(*ev.packet);
-           });
-
-  core::RxWorkspace ws2;
-  core::StreamStats st2;
-  std::vector<core::RxPacket> got2;
-  srx.scan(stage(s.attempts[0].capture, ws2), ws2, st2,
-           [&](const core::StreamEvent& ev) {
-             if (ev.packet != nullptr) got2.push_back(*ev.packet);
-           },
-           core::HarqDecode{});
-
-  ASSERT_EQ(got1.size(), got2.size());
-  for (std::size_t i = 0; i < got1.size(); ++i) {
-    EXPECT_EQ(got1[i].psdu, got2[i].psdu);
-    EXPECT_EQ(got1[i].fcs_ok, got2[i].fcs_ok);
-    EXPECT_EQ(got1[i].error, got2[i].error);
-  }
-  EXPECT_EQ(st1.frames, st2.frames);
-  EXPECT_EQ(st1.delivered, st2.delivered);
-}
-
-TEST(StreamReceiverHarq, ScanCombinesPriorSoftState) {
-  auto s = make_scenario(kCliffMcs, kCliffSnrDb, 3, kCliffSeed);
-  const core::StreamReceiver srx(s.phy, 1);
-  core::RxWorkspace ws;
-  std::vector<float> prior;
-  bool delivered = false;
-  for (const auto& att : s.attempts) {
-    core::HarqDecode harq;
-    if (!prior.empty()) harq.prior = prior;
-    harq.combined = &ws.harq_combined;
-    core::StreamStats st;
-    srx.scan(stage(att.capture, ws), ws, st,
-             [&](const core::StreamEvent& ev) {
-               if (ev.packet != nullptr && ev.packet->fcs_ok) delivered = true;
-             },
-             harq);
-    if (delivered) break;
-    ASSERT_FALSE(ws.harq_combined.empty());
-    prior = ws.harq_combined;
-  }
-  EXPECT_TRUE(delivered);
 }
 
 }  // namespace

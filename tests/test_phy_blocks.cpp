@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <span>
 
+#include "channel/fault_plan.hpp"
 #include "core/phy_blocks.hpp"
 #include "dsp/rng.hpp"
 #include "flowgraph/blocks.hpp"
@@ -215,6 +218,204 @@ TEST(PhyBlocks, UncorroboratedExtentKeepsTheWindowTail) {
                    [](const core::RxPacket& p) { return p.fcs_ok; });
   ASSERT_NE(delivered, rx->packets().end());
   EXPECT_EQ(delivered->psdu, psdus[1]);
+}
+
+// ------------------------------------------ the block and the scan engine
+
+enum class Air { kClean, kSpoofedExtent, kCwBursts };
+
+/// `frames` SISO frames at `mcs` with 100-240-byte payloads and 500-1100-sample
+/// gaps, through 30 dB AWGN with a small CFO. kSpoofedExtent re-encodes the
+/// first frame's HT-SIG to announce 40000 bytes (about 985k samples at
+/// MCS 0), leaving its L-SIG to disagree; kCwBursts puts a CW tone burst in
+/// every third gap, whose false syncs the scan reaches some frames from by
+/// a rewind.
+std::vector<cf32> make_stream(Air air, unsigned mcs, std::size_t frames) {
+  core::PhyConfig phy;
+  phy.mcs = mcs;
+  const core::Transmitter tx(phy);
+  constexpr std::size_t kPad = 200;
+  std::vector<std::vector<cf32>> chain(1);
+  channel::FaultPlan plan;
+  std::uint64_t state = 0x5EED;
+  for (std::size_t p = 0; p < frames; ++p) {
+    std::vector<std::uint8_t> payload(100 + 20 * (p % 8));
+    for (auto& b : payload) {
+      state = dsp::splitmix64(state);
+      b = static_cast<std::uint8_t>(state >> 56U);
+    }
+    wifi::MacHeader hdr;
+    hdr.sequence_control = static_cast<std::uint16_t>((p & 0xFFFU) << 4U);
+    const auto psdu = wifi::build_psdu(hdr, payload);
+    auto ppdu = tx.transmit(psdu);
+    if (air == Air::kSpoofedExtent && p == 0) {
+      testutil::rewrite_sig_symbols(
+          ppdu, wifi::LSig{.length = tx.layout(psdu.size()).spoofed_lsig_length()},
+          wifi::HtSig{.mcs = static_cast<std::uint8_t>(mcs), .length = 40000});
+    }
+    chain[0].insert(chain[0].end(), ppdu[0].begin(), ppdu[0].end());
+    if (air == Air::kCwBursts && p % 3 == 1) {
+      plan.tone_burst(kPad + chain[0].size() + 150, 240, 3.0, 0.07);
+    }
+    chain[0].resize(chain[0].size() + 500 + 50 * ((p * 7) % 13));
+  }
+  channel::ChannelConfig ccfg;
+  ccfg.ntx = 1;
+  ccfg.nrx = 1;
+  ccfg.snr_db = 30.0;
+  ccfg.cfo_norm = 2e-4;
+  ccfg.timing_pad = kPad;
+  ccfg.tail_pad = 100;
+  ccfg.faults = plan;
+  ccfg.seed = 0x5EED;
+  channel::MimoChannel chan(ccfg);
+  return chan.transmit(chain)[0];
+}
+
+/// Stream `samples` through VectorSource -> ReceiverBlock over `buffer`-
+/// sample ring buffers; attempt_window 0 keeps the block's default.
+std::shared_ptr<core::ReceiverBlock> run_block(const core::PhyConfig& phy,
+                                               const std::vector<cf32>& samples,
+                                               std::size_t buffer,
+                                               std::size_t attempt_window) {
+  auto src = std::make_shared<flowgraph::VectorSource<cf32>>(samples);
+  auto rx = attempt_window == 0
+                ? std::make_shared<core::ReceiverBlock>(phy, 1)
+                : std::make_shared<core::ReceiverBlock>(phy, 1, attempt_window);
+  flowgraph::Graph g;
+  g.add(src);
+  g.add(rx);
+  g.connect<cf32>(*src, 0, *rx, 0, buffer);
+  flowgraph::run_single_threaded(g);
+  return rx;
+}
+
+std::vector<std::vector<std::uint8_t>> delivered_psdus(
+    const std::vector<core::RxPacket>& packets) {
+  std::vector<std::vector<std::uint8_t>> out;
+  for (const auto& p : packets) {
+    if (p.fcs_ok) out.push_back(p.psdu);
+  }
+  return out;
+}
+
+std::vector<metrics::RxError> error_sequence(
+    const std::vector<core::RxPacket>& packets) {
+  std::vector<metrics::RxError> out;
+  for (const auto& p : packets) out.push_back(p.error);
+  return out;
+}
+
+TEST(PhyBlocks, BlockDeliversWhatTheEngineDelivers) {
+  // However the stream is cut into buffers and scan attempts, the block
+  // resumes the engine's one scan: the same events, in the same order, as
+  // one receive_all over the whole stream. The CW-burst streams hold frames
+  // the scan reaches only by a rewind, so a block that drops samples a
+  // rewind may still read loses them.
+  core::PhyConfig phy;
+  phy.mcs = 0;
+  const core::StreamReceiver srx(phy, 1);
+  struct Case {
+    Air air;
+    unsigned mcs;
+  };
+  for (const auto& [air, mcs] :
+       {Case{Air::kClean, 0}, Case{Air::kSpoofedExtent, 0}, Case{Air::kCwBursts, 0},
+        Case{Air::kCwBursts, 3}, Case{Air::kCwBursts, 7}}) {
+    const auto samples = make_stream(air, mcs, 120);
+    std::vector<core::RxPacket> ref;
+    for (auto& rec : srx.receive_all({samples})) {
+      if (rec.has_packet) ref.push_back(std::move(rec.packet));
+    }
+    const auto ref_psdus = delivered_psdus(ref);
+    const auto ref_errors = error_sequence(ref);
+    ASSERT_GE(ref_psdus.size(), 119U);
+    for (const std::size_t buffer : {512U, 4096U, 65536U}) {
+      for (const std::size_t attempt_window : {0U, 5000U, 8000U}) {
+        SCOPED_TRACE(testing::Message()
+                     << "air " << static_cast<int>(air) << " mcs " << mcs
+                     << " buffer " << buffer
+                     << " attempt_window " << attempt_window);
+        const auto rx = run_block(phy, samples, buffer, attempt_window);
+        EXPECT_EQ(delivered_psdus(rx->packets()), ref_psdus);
+        EXPECT_EQ(error_sequence(rx->packets()), ref_errors);
+        EXPECT_EQ(rx->stats().delivered, ref_psdus.size());
+        EXPECT_EQ(rx->stats().samples_scanned, samples.size());
+      }
+    }
+  }
+}
+
+TEST(PhyBlocks, SpoofedExtentCostsTheBlockNoRescans) {
+  // A false sync's HT-SIG announcing 40000 bytes holds the block at that
+  // candidate until its whole announced extent has streamed in. The held
+  // candidate is retried only as the samples past it double, and the
+  // frames behind it are scanned once after, so the block's work stays
+  // that of one scan of the clean stream, counted in receive attempts.
+  core::PhyConfig phy;
+  phy.mcs = 0;
+  // About 2.07M samples: the announced extent ends halfway through.
+  constexpr std::size_t kFrames = 318;
+  const auto clean = make_stream(Air::kClean, 0, kFrames);
+  const core::StreamReceiver srx(phy, 1);
+  core::RxWorkspace ws;
+  core::StreamStats stats;
+  core::ScanCursor clean_scan;
+  std::vector<std::vector<std::uint8_t>> behind;
+  const std::array<std::span<const cf32>, 1> spans{std::span<const cf32>(clean)};
+  srx.scan_window(
+      spans, ws, stats,
+      [&behind](const core::StreamEvent& ev) {
+        if (ev.packet != nullptr && ev.packet->fcs_ok) behind.push_back(ev.packet->psdu);
+      },
+      core::ScanWindow{}, clean_scan);
+  ASSERT_EQ(behind.size(), kFrames);
+  behind.erase(behind.begin());
+
+  const auto spoofed =
+      run_block(phy, make_stream(Air::kSpoofedExtent, 0, kFrames), 4096, 0);
+  EXPECT_LE(static_cast<double>(spoofed->scan_attempts()),
+            1.2 * static_cast<double>(clean_scan.attempts));
+  EXPECT_EQ(delivered_psdus(spoofed->packets()), behind);
+}
+
+TEST(PhyBlocks, WatchdogStopResumesPastTheAbandonedPosition) {
+  // A long 16-periodic interferer trips the engine's watchdog. The block
+  // cannot abandon a stream, so it starts the count afresh past the
+  // abandoned position and still delivers the frame behind the interferer.
+  core::PhyConfig phy;
+  phy.mcs = 0;
+  std::vector<cf32> pattern(16);
+  dsp::ComplexGaussian g(7, 1.0);
+  for (auto& x : pattern) x = g.sample();
+  std::vector<cf32> samples;
+  const std::size_t budget = core::StreamReceiverConfig{}.candidate_budget;
+  // Each burst costs a few failed candidates: enough bursts to exceed the
+  // budget.
+  for (std::size_t burst = 0; burst < budget / 2; ++burst) {
+    for (int rep = 0; rep < 30; ++rep) {
+      samples.insert(samples.end(), pattern.begin(), pattern.end());
+    }
+    samples.resize(samples.size() + 220, cf32{});
+  }
+  const core::Transmitter tx(phy);
+  const auto psdu = make_psdus(1, 200)[0];
+  const auto ppdu = tx.transmit(psdu);
+  samples.resize(samples.size() + 400, cf32{});
+  samples.insert(samples.end(), ppdu[0].begin(), ppdu[0].end());
+  samples.resize(samples.size() + 400, cf32{});
+  dsp::ComplexGaussian noise(9, 1e-4);
+  for (auto& x : samples) x += noise.sample();
+
+  const auto rx = run_block(phy, samples, 4096, 0);
+  EXPECT_GE(rx->stats().budget_exhaustions, 1U);
+  // Each stop starts the count afresh: one stop per budget of failures.
+  EXPECT_LE(rx->stats().budget_exhaustions,
+            rx->stats().resync_events / budget + 1);
+  EXPECT_EQ(rx->stats().errors.count(metrics::RxError::kBudgetExceeded),
+            rx->stats().budget_exhaustions);
+  EXPECT_EQ(delivered_psdus(rx->packets()),
+            std::vector<std::vector<std::uint8_t>>{psdu});
 }
 
 TEST(PhyBlocks, TransmitterTagsPacketStarts) {

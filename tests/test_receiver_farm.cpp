@@ -383,7 +383,7 @@ TEST(ReceiverFarm, FaultedCaptureEquivalence) {
 TEST(ReceiverFarm, RejectsMaxPacketsInShardedMode) {
   const auto s = make_multi_capture(2, 200);
   auto cfg = tight_cfg(s, 2, 2);
-  cfg.max_packets = 1;
+  cfg.scan.max_packets = 1;
   core::ReceiverFarm farm(s.phy, s.capture.size(), cfg);
   core::StreamStats stats;
   EXPECT_THROW(
@@ -552,7 +552,7 @@ TEST(ReceiveSession, MaxPacketsStaysOnCallingThread) {
   // sequential engine even when workers > 1.
   const auto s = make_multi_capture(3, 400);
   auto cfg = tight_cfg(s, 4, 4);
-  cfg.max_packets = 1;
+  cfg.scan.max_packets = 1;
   core::ReceiveSession session(s.phy, s.capture.size(), cfg);
   std::size_t delivered = 0;
   session.scan(as_spans(s.capture), [&delivered](const core::StreamEvent& ev) {
