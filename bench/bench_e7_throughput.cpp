@@ -53,7 +53,7 @@ int main() {
       table.row(cells);
       char obj[224];
       std::snprintf(obj, sizeof obj,
-                    "%s{\"snr_db\": %g, \"mcs\": %u, \"nss\": %u, "
+                    "%s{\"snr_db\": %g, \"mcs\": %u, \"nss\": %zu, "
                     "\"phy_mbps\": %.4g, \"goodput_mbps\": %.4g, \"per\": %.4g}",
                     first ? "" : ", ", snr, mcs, info.nss,
                     info.data_rate_mbps(), res.throughput.goodput_mbps(),

@@ -4,7 +4,7 @@
 # This is the correctness gate every performance PR runs against:
 #
 #   scripts/check.sh            # all three configurations + bench smokes
-#   scripts/check.sh plain      # just the plain build
+#   scripts/check.sh plain      # just the plain build (-Werror)
 #   scripts/check.sh asan tsan  # any subset, in order
 #   scripts/check.sh bench-smoke  # hot-path bench on 4 packets + JSON schema + diff
 #   scripts/check.sh farm-smoke   # E19 receiver-farm bench + "farm" schema
@@ -394,7 +394,8 @@ run_perf_smoke() {
 for cfg in "${configs[@]}"; do
   case "$cfg" in
     plain)
-      run_config plain build ;;
+      # Warnings are errors here only: a new warning fails the plain job.
+      run_config plain build -DCMAKE_CXX_FLAGS=-Werror ;;
     asan)
       # halt_on_error keeps UBSan findings fatal even where
       # -fno-sanitize-recover is not honored by the toolchain.

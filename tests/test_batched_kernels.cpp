@@ -153,7 +153,9 @@ TEST(BatchedKernels, DeinterleaveSimdMatchesScalar) {
         // And match the legacy vector-returning overload.
         const auto legacy = il.deinterleave(llrs);
         for (std::size_t i = 0; i < llrs.size(); ++i) {
-          if (!std::isnan(legacy[i])) EXPECT_EQ(legacy[i], simd_out[i]) << i;
+          if (!std::isnan(legacy[i])) {
+            EXPECT_EQ(legacy[i], simd_out[i]) << i;
+          }
         }
       }
     }
@@ -243,7 +245,9 @@ TEST(BatchedKernels, StreamingViterbiMatchesOneShot) {
     std::vector<std::uint8_t> oneshot;
     dec.decode_soft_into(llrs, terminated, oneshot, scratch);
     ASSERT_EQ(oneshot.size(), info.size());
-    if (terminated) EXPECT_EQ(oneshot, info);
+    if (terminated) {
+      EXPECT_EQ(oneshot, info);
+    }
 
     // Odd chunk sizes split trellis steps: the carry slot must stitch them.
     for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},

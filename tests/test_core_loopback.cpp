@@ -243,7 +243,9 @@ TEST(Receiver, TruncatedCaptureIsSafe) {
   const auto capture = chan.transmit(streams);
   core::Receiver rx(phy, 1);
   const auto pkt = testutil::receive_once(rx, capture);
-  if (pkt) EXPECT_FALSE(pkt->fcs_ok);
+  if (pkt) {
+    EXPECT_FALSE(pkt->fcs_ok);
+  }
 }
 
 TEST(Transmitter, PsduTooLargeThrows) {

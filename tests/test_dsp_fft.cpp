@@ -72,7 +72,9 @@ TEST(FftPlan, SingleToneLandsInRightBin) {
   plan.forward(in, out);
   EXPECT_NEAR(std::abs(out[tone]), static_cast<float>(n), 1e-3F);
   for (std::size_t k = 0; k < n; ++k) {
-    if (k != tone) EXPECT_NEAR(std::abs(out[k]), 0.0F, 1e-3F) << "bin " << k;
+    if (k != tone) {
+      EXPECT_NEAR(std::abs(out[k]), 0.0F, 1e-3F) << "bin " << k;
+    }
   }
 }
 

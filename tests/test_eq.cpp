@@ -100,7 +100,7 @@ TEST(FromChannel, BuildsAndValidates) {
   const auto m = from_channel(rows);
   EXPECT_EQ(m(1, 0), (cf64{3.0, 0.0}));
   rows[1].pop_back();
-  EXPECT_THROW(from_channel(rows), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(from_channel(rows)), std::invalid_argument);
 }
 
 // ----------------------------------------------------------- equalizers

@@ -141,7 +141,8 @@ TEST(CodedLength, MatchesRateFractions) {
   EXPECT_EQ(coded_length(100, CodeRate::kR2_3), 150U);
   EXPECT_EQ(coded_length(99, CodeRate::kR3_4), 132U);
   EXPECT_EQ(coded_length(100, CodeRate::kR5_6), 120U);
-  EXPECT_THROW(coded_length(101, CodeRate::kR2_3), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(coded_length(101, CodeRate::kR2_3)),
+               std::invalid_argument);
 }
 
 // ------------------------------------------------------------- Viterbi

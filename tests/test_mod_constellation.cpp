@@ -134,7 +134,7 @@ TEST(Constellation, Qam16CornerValues) {
 TEST(Constellation, MapRejectsWrongBitCount) {
   const Constellation c(Modulation::kQam16);
   std::vector<std::uint8_t> bits(3);
-  EXPECT_THROW(c.map(bits), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(c.map(bits)), std::invalid_argument);
   EXPECT_THROW(c.map_all(std::vector<std::uint8_t>(7)), std::invalid_argument);
 }
 

@@ -73,8 +73,8 @@ TEST(Pilots, PatternsAreOrthogonalAcrossStreams) {
 }
 
 TEST(Pilots, InvalidStreamIndexThrows) {
-  EXPECT_THROW(pilot_pattern(2, 2), std::invalid_argument);
-  EXPECT_THROW(pilot_pattern(5, 0), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(pilot_pattern(2, 2)), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(pilot_pattern(5, 0)), std::invalid_argument);
 }
 
 TEST(Pilots, HtDataPilotsRotateAcrossSymbols) {

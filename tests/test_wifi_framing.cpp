@@ -54,7 +54,9 @@ TEST(Mcs, CodedAndDataBitsPerSymbol) {
   EXPECT_EQ(m15.data_bits_per_symbol(), 520U);
 }
 
-TEST(Mcs, OutOfRangeThrows) { EXPECT_THROW(mcs_info(32), std::invalid_argument); }
+TEST(Mcs, OutOfRangeThrows) {
+  EXPECT_THROW(static_cast<void>(mcs_info(32)), std::invalid_argument);
+}
 
 // ------------------------------------------------------------ interleaver
 
@@ -219,7 +221,7 @@ TEST(Bits, HammingDistance) {
   const std::vector<std::uint8_t> a{0, 1, 1, 0};
   const std::vector<std::uint8_t> b{1, 1, 0, 0};
   EXPECT_EQ(hamming_distance(a, b), 2U);
-  EXPECT_THROW(hamming_distance(a, std::vector<std::uint8_t>(3)),
+  EXPECT_THROW(static_cast<void>(hamming_distance(a, std::vector<std::uint8_t>(3))),
                std::invalid_argument);
 }
 

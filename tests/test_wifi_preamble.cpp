@@ -90,15 +90,15 @@ TEST(NumHtLtfs, FollowsStandard) {
   EXPECT_EQ(num_ht_ltfs(2), 2U);
   EXPECT_EQ(num_ht_ltfs(3), 4U);
   EXPECT_EQ(num_ht_ltfs(4), 4U);
-  EXPECT_THROW(num_ht_ltfs(5), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(num_ht_ltfs(5)), std::invalid_argument);
 }
 
 TEST(Csd, ValuesMatchTables) {
   EXPECT_EQ(legacy_csd_samples(0, 1), 0);
   EXPECT_EQ(legacy_csd_samples(1, 2), -4);   // -200 ns at 20 Msps
   EXPECT_EQ(ht_csd_samples(1, 2), -8);       // -400 ns
-  EXPECT_THROW(legacy_csd_samples(2, 2), std::invalid_argument);
-  EXPECT_THROW(ht_csd_samples(0, 5), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(legacy_csd_samples(2, 2)), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(ht_csd_samples(0, 5)), std::invalid_argument);
 }
 
 TEST(Csd, SecondChainIsCyclicShiftOfFirst) {
