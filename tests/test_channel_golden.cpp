@@ -7,7 +7,9 @@
 // identity channel, the front-end knobs (SFO, ADC, clipping, erasure, a
 // fault campaign) and the sounding hooks the MU downlink ages CSI with.
 // LinkSimulator::run is pinned by its counters and estimator statistics on
-// the 2x2 MCS 12 TGn-D reference link at 1 and 3 threads.
+// the 2x2 MCS 12 TGn-D reference link at 1 and 3 threads, and
+// MuLinkSimulator::run by the same figures per user on a 2- and 3-user
+// downlink and a 2- and 4-user uplink.
 //
 // The constants pin outputs, not implementation: a faster convolution, a
 // different random-number engine or a workspace transmit path must leave
@@ -21,6 +23,7 @@
 
 #include "channel/mimo_channel.hpp"
 #include "core/link_simulator.hpp"
+#include "core/mu_link_simulator.hpp"
 #include "dsp/rng.hpp"
 #include "packet_digest.hpp"
 
@@ -285,6 +288,59 @@ TEST(LinkGolden, ReferenceLinkCountersArePinned) {
     for (const auto& s : res.stream_sinr_db) hash_stats(d, s);
     EXPECT_EQ(hex(d.value()), hex(kLinkDigest)) << label;
   }
+}
+
+/// Per-user counters and estimator statistics of MuLinkSimulator::run:
+/// a 2- and 3-user zero-forcing downlink (one with stale CSI) and a 2- and
+/// 4-user uplink, each at a SNR where some packets fail.
+constexpr std::uint64_t kMuLinkDigest = 0xbeeac81c0f6ec7c0ULL;
+
+TEST(LinkGolden, MuLinkCountersArePinned) {
+#ifdef __FAST_MATH__
+  GTEST_SKIP() << "-ffast-math may change floating-point bits";
+#endif
+  struct MuCase {
+    unsigned mcs;
+    double snr_db;
+    std::size_t n_users;
+    channel::MuDirection direction;
+    std::size_t csi_stale_symbols;
+  };
+  constexpr std::array<MuCase, 4> kCases{{
+      {3, 22.0, 2, channel::MuDirection::kDownlink, 0},
+      {1, 20.0, 3, channel::MuDirection::kDownlink, 6},
+      {4, 23.0, 2, channel::MuDirection::kUplink, 0},
+      {2, 21.0, 4, channel::MuDirection::kUplink, 0},
+  }};
+  Digest d;
+  for (const MuCase& c : kCases) {
+    auto cfg = core::make_mu_link_config(c.mcs, c.snr_db, c.n_users, c.direction,
+                                         /*doppler_norm=*/2e-6);
+    cfg.user.seed = 0xBEEF + c.n_users;
+    cfg.user.psdu_payload_bytes = 180;
+    cfg.csi_stale_symbols = c.csi_stale_symbols;
+    const auto res =
+        core::MuLinkSimulator(cfg).run({.n_packets = 12, .n_threads = 2});
+    d.pod(res.per_user.size());
+    for (const core::LinkResult& r : res.per_user) {
+      d.pod(r.ber.bits());
+      d.pod(r.ber.errors());
+      d.pod(r.per.packets());
+      d.pod(r.per.failures());
+      d.pod(r.undetected);
+      for (std::size_t e = 0; e < metrics::kRxErrorCount; ++e) {
+        d.pod(r.rx_errors.count(static_cast<metrics::RxError>(e)));
+      }
+      d.pod(r.throughput.airtime_us());
+      d.pod(r.throughput.goodput_mbps());
+      hash_stats(d, r.snr_est_db);
+      hash_stats(d, r.pilot_snr_db);
+      hash_stats(d, r.timing_err);
+      hash_stats(d, r.cfo_err);
+      for (const auto& s : r.stream_sinr_db) hash_stats(d, s);
+    }
+  }
+  EXPECT_EQ(hex(d.value()), hex(kMuLinkDigest));
 }
 
 }  // namespace
