@@ -14,6 +14,7 @@
 #include "fec/viterbi.hpp"
 #include "ofdm/pilots.hpp"
 #include "wifi/bits.hpp"
+#include "wifi/interleaver.hpp"
 #include "wifi/preamble.hpp"
 #include "wifi/psdu.hpp"
 
@@ -29,15 +30,6 @@ Transmitter::Transmitter(PhyConfig cfg)
       ht_mod_(ofdm::CarrierPlan::kHt) {
   if (cfg.stbc && nss_ != 1) {
     throw std::invalid_argument("Transmitter: STBC requires a 1-stream MCS (0-7)");
-  }
-  for (std::size_t iss = 0; iss < nss_; ++iss) {
-    interleavers_.emplace_back(mcs_.bits_per_subcarrier(), iss, nss_);
-  }
-  for (std::size_t sts = 0; sts < nsts_; ++sts) {
-    lstf_.push_back(wifi::make_lstf(sts, nsts_));
-    lltf_.push_back(wifi::make_lltf(sts, nsts_));
-    htstf_.push_back(wifi::make_htstf(sts, nsts_));
-    htltfs_.push_back(wifi::make_htltfs(sts, nsts_));
   }
 }
 
@@ -65,14 +57,11 @@ std::span<const std::uint8_t> Transmitter::encode_data_bits_into(
     fec::scramble_in_place(ws.bits, cfg_.scrambler_seed);
 
     static const fec::LdpcCode code;
-    ws.coded.clear();
-    ws.coded.reserve(fl.n_data_symbols * mcs_.coded_bits_per_symbol());
+    ws.coded.assign(fl.n_data_symbols * mcs_.coded_bits_per_symbol(), 0);
     for (std::size_t cw = 0; cw < n_cw; ++cw) {
-      const auto word =
-          code.encode(std::span(ws.bits).subspan(cw * kLdpcK, kLdpcK));
-      ws.coded.insert(ws.coded.end(), word.begin(), word.end());
+      code.encode_into(std::span(ws.bits).subspan(cw * kLdpcK, kLdpcK),
+                       std::span(ws.coded).subspan(cw * kLdpcN, kLdpcN));
     }
-    ws.coded.resize(fl.n_data_symbols * mcs_.coded_bits_per_symbol(), 0);
     return ws.coded;
   }
 
@@ -109,63 +98,54 @@ std::vector<std::uint8_t> Transmitter::encode_data_bits(
 }
 
 void Transmitter::modulate_stream(std::span<const std::uint8_t> stream_bits,
-                                  std::size_t iss, std::vector<cf32>& out,
-                                  TxWorkspace& ws) const {
-  interleavers_[iss].interleave_into(stream_bits, ws.interleaved);
+                                  std::size_t iss, std::size_t n_sts,
+                                  std::vector<cf32>& out, TxWorkspace& ws) const {
+  wifi::cached_interleaver(mcs_.bits_per_subcarrier(), iss, n_sts)
+      .interleave_into(stream_bits, ws.interleaved);
   constellation_.map_all_into(ws.interleaved, ws.symbols);
-  const std::size_t per_sym = wifi::kHtDataCarriers;
-  const std::size_t n_sym = ws.symbols.size() / per_sym;
-  const float gain = wifi::tone_gain(ht_mod_.map().num_occupied());
-
-  const int csd = wifi::ht_csd_samples(iss, nss_);
-  for (std::size_t n = 0; n < n_sym; ++n) {
-    const auto pilots = ofdm::ht_data_pilots(nss_, iss, n);
-    const std::size_t base = out.size();
-    ht_mod_.modulate(std::span(ws.symbols).subspan(n * per_sym, per_sym),
-                     std::span<const cf32, 4>(pilots), out, csd, ws.time_scratch);
-    for (std::size_t i = base; i < out.size(); ++i) out[i] *= gain;
+  constexpr std::size_t per_sym = wifi::kHtDataCarriers;
+  for (std::size_t n = 0; n < ws.symbols.size() / per_sym; ++n) {
+    append_data_symbol(std::span(ws.symbols).subspan(n * per_sym, per_sym), iss,
+                       n_sts, n, out, ws);
   }
 }
 
 void Transmitter::modulate_stbc(std::span<const std::uint8_t> stream_bits,
-                                std::vector<cf32>& chain0,
-                                std::vector<cf32>& chain1, TxWorkspace& ws) const {
-  interleavers_[0].interleave_into(stream_bits, ws.interleaved);
+                                TxWorkspace& ws) const {
+  // The one spatial stream is interleaved and mapped as without STBC.
+  wifi::cached_interleaver(mcs_.bits_per_subcarrier(), 0, 1)
+      .interleave_into(stream_bits, ws.interleaved);
   constellation_.map_all_into(ws.interleaved, ws.symbols);
-  const std::size_t per_sym = wifi::kHtDataCarriers;
+  constexpr std::size_t per_sym = wifi::kHtDataCarriers;
   const std::size_t n_sym = ws.symbols.size() / per_sym;
   if (n_sym % 2 != 0) {
     throw std::logic_error("modulate_stbc: symbol count must be even");
   }
-  const float gain = wifi::tone_gain(ht_mod_.map().num_occupied());
-  const int csd0 = wifi::ht_csd_samples(0, 2);
-  const int csd1 = wifi::ht_csd_samples(1, 2);
-
-  std::array<cf32, wifi::kHtDataCarriers> sts1_data;
-  std::array<cf32, wifi::kHtDataCarriers> sts2_data;
-  for (std::size_t m = 0; m < n_sym; m += 2) {
-    // First symbol of the pair.
-    for (std::size_t pass = 0; pass < 2; ++pass) {
-      const std::size_t n = m + pass;
-      for (std::size_t i = 0; i < per_sym; ++i) {
-        const cf32 d1 = ws.symbols[m * per_sym + i];
-        const cf32 d2 = ws.symbols[(m + 1) * per_sym + i];
-        const auto mapped = eq::alamouti_map(d1, d2);
-        sts1_data[i] = (pass == 0) ? mapped.sts1_first : mapped.sts1_second;
-        sts2_data[i] = (pass == 0) ? mapped.sts2_first : mapped.sts2_second;
-      }
-      const auto p0 = ofdm::ht_data_pilots(2, 0, n);
-      const auto p1 = ofdm::ht_data_pilots(2, 1, n);
-      const std::size_t b0 = chain0.size();
-      ht_mod_.modulate(sts1_data, std::span<const cf32, 4>(p0), chain0, csd0,
-                       ws.time_scratch);
-      for (std::size_t i = b0; i < chain0.size(); ++i) chain0[i] *= gain;
-      const std::size_t b1 = chain1.size();
-      ht_mod_.modulate(sts2_data, std::span<const cf32, 4>(p1), chain1, csd1,
-                       ws.time_scratch);
-      for (std::size_t i = b1; i < chain1.size(); ++i) chain1[i] *= gain;
+  std::array<cf32, per_sym> sts0;
+  std::array<cf32, per_sym> sts1;
+  for (std::size_t n = 0; n < n_sym; ++n) {
+    const std::size_t m = n - n % 2;  // first symbol of the Alamouti pair
+    for (std::size_t i = 0; i < per_sym; ++i) {
+      const auto mapped = eq::alamouti_map(ws.symbols[m * per_sym + i],
+                                           ws.symbols[(m + 1) * per_sym + i]);
+      sts0[i] = n == m ? mapped.sts1_first : mapped.sts1_second;
+      sts1[i] = n == m ? mapped.sts2_first : mapped.sts2_second;
     }
+    append_data_symbol(sts0, 0, 2, n, ws.chains[0], ws);
+    append_data_symbol(sts1, 1, 2, n, ws.chains[1], ws);
   }
+}
+
+void Transmitter::append_data_symbol(std::span<const cf32> carriers,
+                                     std::size_t iss, std::size_t n_sts,
+                                     std::size_t n, std::vector<cf32>& out,
+                                     TxWorkspace& ws) const {
+  const auto pilots = ofdm::ht_data_pilots(n_sts, iss, n);
+  const std::size_t base = out.size();
+  ht_mod_.modulate(carriers, std::span<const cf32, 4>(pilots), out,
+                   wifi::ht_csd_samples(iss, n_sts), ws.time_scratch);
+  const float gain = wifi::tone_gain(ht_mod_.map().num_occupied());
+  for (std::size_t i = base; i < out.size(); ++i) out[i] *= gain;
 }
 
 void Transmitter::append_legacy_symbol(std::span<const cf32> carriers48,
@@ -223,6 +203,26 @@ void Transmitter::ensure_sig_carriers(std::size_t psdu_size, TxWorkspace& ws) co
   ws.sig_key = key;
 }
 
+void Transmitter::begin_chain(std::size_t sts, const FrameLayout& fl,
+                              std::vector<cf32>& chain, TxWorkspace& ws) const {
+  chain.clear();
+  chain.reserve(fl.total_samples());
+  const wifi::PreambleFields& f = wifi::preamble_fields(sts, fl.nss);
+  chain.insert(chain.end(), f.lstf.begin(), f.lstf.end());
+  chain.insert(chain.end(), f.lltf.begin(), f.lltf.end());
+
+  // L-SIG (polarity index 0) and HT-SIG (indices 1, 2), legacy CSD.
+  const int csd = wifi::legacy_csd_samples(sts, fl.nss);
+  const std::span<const cf32> htsig(ws.htsig_carriers);
+  append_legacy_symbol(ws.lsig_carriers, 0, csd, chain, ws.time_scratch);
+  append_legacy_symbol(htsig.first(48), 1, csd, chain, ws.time_scratch);
+  append_legacy_symbol(htsig.subspan(48, 48), 2, csd, chain, ws.time_scratch);
+
+  // HT preamble (per space-time-stream HT CSD + P matrix).
+  chain.insert(chain.end(), f.htstf.begin(), f.htstf.end());
+  chain.insert(chain.end(), f.htltfs.begin(), f.htltfs.end());
+}
+
 void Transmitter::transmit_into(std::span<const std::uint8_t> psdu,
                                 TxWorkspace& ws) const {
   if (psdu.size() > wifi::kMaxPsduLen) {
@@ -230,40 +230,17 @@ void Transmitter::transmit_into(std::span<const std::uint8_t> psdu,
   }
   const FrameLayout fl = layout(psdu.size());
   ensure_sig_carriers(psdu.size(), ws);
-
-  // Data bits -> per-stream coded bits.
-  const auto coded = encode_data_bits_into(psdu, ws);
-  parser_.parse_into(coded, ws.streams);
+  parser_.parse_into(encode_data_bits_into(psdu, ws), ws.streams);
 
   ws.chains.resize(nsts_);
   for (std::size_t sts = 0; sts < nsts_; ++sts) {
-    auto& chain = ws.chains[sts];
-    chain.clear();
-    chain.reserve(fl.total_samples());
-
-    // Legacy preamble (per-chain CSD).
-    chain.insert(chain.end(), lstf_[sts].begin(), lstf_[sts].end());
-    chain.insert(chain.end(), lltf_[sts].begin(), lltf_[sts].end());
-
-    // L-SIG (polarity index 0) and HT-SIG (indices 1, 2), legacy CSD.
-    const int csd = wifi::legacy_csd_samples(sts, nsts_);
-    append_legacy_symbol(ws.lsig_carriers, 0, csd, chain, ws.time_scratch);
-    append_legacy_symbol(std::span(ws.htsig_carriers).first(48), 1, csd, chain,
-                         ws.time_scratch);
-    append_legacy_symbol(std::span(ws.htsig_carriers).subspan(48, 48), 2, csd,
-                         chain, ws.time_scratch);
-
-    // HT preamble (per space-time-stream HT CSD + P matrix).
-    chain.insert(chain.end(), htstf_[sts].begin(), htstf_[sts].end());
-    chain.insert(chain.end(), htltfs_[sts].begin(), htltfs_[sts].end());
+    begin_chain(sts, fl, ws.chains[sts], ws);
   }
-
-  // HT data symbols.
   if (cfg_.stbc) {
-    modulate_stbc(ws.streams[0], ws.chains[0], ws.chains[1], ws);
+    modulate_stbc(ws.streams[0], ws);
   } else {
     for (std::size_t iss = 0; iss < nss_; ++iss) {
-      modulate_stream(ws.streams[iss], iss, ws.chains[iss], ws);
+      modulate_stream(ws.streams[iss], iss, nss_, ws.chains[iss], ws);
     }
   }
 
@@ -271,27 +248,6 @@ void Transmitter::transmit_into(std::span<const std::uint8_t> psdu,
   const float norm = 1.0F / std::sqrt(static_cast<float>(nsts_));
   for (auto& chain : ws.chains) {
     for (auto& v : chain) v *= norm;
-  }
-}
-
-void Transmitter::modulate_virtual(std::span<const std::uint8_t> stream_bits,
-                                   std::size_t iss, std::size_t n_sts,
-                                   std::vector<cf32>& out, TxWorkspace& ws) const {
-  const wifi::Interleaver& il =
-      wifi::cached_interleaver(mcs_.bits_per_subcarrier(), iss, n_sts);
-  il.interleave_into(stream_bits, ws.interleaved);
-  constellation_.map_all_into(ws.interleaved, ws.symbols);
-  const std::size_t per_sym = wifi::kHtDataCarriers;
-  const std::size_t n_sym = ws.symbols.size() / per_sym;
-  const float gain = wifi::tone_gain(ht_mod_.map().num_occupied());
-
-  const int csd = wifi::ht_csd_samples(iss, n_sts);
-  for (std::size_t n = 0; n < n_sym; ++n) {
-    const auto pilots = ofdm::ht_data_pilots(n_sts, iss, n);
-    const std::size_t base = out.size();
-    ht_mod_.modulate(std::span(ws.symbols).subspan(n * per_sym, per_sym),
-                     std::span<const cf32, 4>(pilots), out, csd, ws.time_scratch);
-    for (std::size_t i = base; i < out.size(); ++i) out[i] *= gain;
   }
 }
 
@@ -308,43 +264,15 @@ void Transmitter::transmit_virtual_into(std::span<const std::uint8_t> psdu,
   if (psdu.size() > wifi::kMaxPsduLen) {
     throw std::invalid_argument("Transmitter: PSDU too large");
   }
-  const FrameLayout fl = layout(psdu.size());
+  FrameLayout fl = layout(psdu.size());
+  fl.nss = n_sts_total;  // chain iss of the n_sts_total-stream joint PPDU
   ensure_sig_carriers(psdu.size(), ws);
-
-  // Virtual-stream preamble tables, cached per (iss, n_sts).
-  const TxWorkspace::VirtualKey vkey{iss, n_sts_total};
-  if (!(ws.virtual_key == vkey)) {
-    ws.v_lstf = wifi::make_lstf(iss, n_sts_total);
-    ws.v_lltf = wifi::make_lltf(iss, n_sts_total);
-    ws.v_htstf = wifi::make_htstf(iss, n_sts_total);
-    ws.v_htltfs = wifi::make_htltfs(iss, n_sts_total);
-    ws.virtual_key = vkey;
-  }
-
   const auto coded = encode_data_bits_into(psdu, ws);
 
   ws.chains.resize(1);
   auto& chain = ws.chains[0];
-  chain.clear();
-  FrameLayout vl;  // geometry of the n_sts-stream joint PPDU
-  vl.nss = n_sts_total;
-  vl.n_data_symbols = fl.n_data_symbols;
-  chain.reserve(vl.total_samples());
-
-  chain.insert(chain.end(), ws.v_lstf.begin(), ws.v_lstf.end());
-  chain.insert(chain.end(), ws.v_lltf.begin(), ws.v_lltf.end());
-
-  const int csd = wifi::legacy_csd_samples(iss, n_sts_total);
-  append_legacy_symbol(ws.lsig_carriers, 0, csd, chain, ws.time_scratch);
-  append_legacy_symbol(std::span(ws.htsig_carriers).first(48), 1, csd, chain,
-                       ws.time_scratch);
-  append_legacy_symbol(std::span(ws.htsig_carriers).subspan(48, 48), 2, csd,
-                       chain, ws.time_scratch);
-
-  chain.insert(chain.end(), ws.v_htstf.begin(), ws.v_htstf.end());
-  chain.insert(chain.end(), ws.v_htltfs.begin(), ws.v_htltfs.end());
-
-  modulate_virtual(coded, iss, n_sts_total, chain, ws);
+  begin_chain(iss, fl, chain, ws);
+  modulate_stream(coded, iss, n_sts_total, chain, ws);
 
   // Per-user share of the joint transmission's power budget: the U
   // superposed virtual streams arrive with unit total power, matching the

@@ -11,7 +11,6 @@
 #include "dsp/types.hpp"
 #include "mod/constellation.hpp"
 #include "ofdm/symbol.hpp"
-#include "wifi/interleaver.hpp"
 #include "wifi/signal_field.hpp"
 #include "wifi/stream_parser.hpp"
 
@@ -85,25 +84,32 @@ class Transmitter {
   std::span<const std::uint8_t> encode_data_bits_into(
       std::span<const std::uint8_t> psdu, TxWorkspace& ws) const;
 
-  /// Map one stream's interleaved coded bits onto HT data symbols.
-  void modulate_stream(std::span<const std::uint8_t> stream_bits, std::size_t iss,
-                       std::vector<cf32>& out, TxWorkspace& ws) const;
-
-  /// modulate_stream for a virtual space-time stream (iss of n_sts), using
-  /// the globally cached interleaver for that geometry.
-  void modulate_virtual(std::span<const std::uint8_t> stream_bits, std::size_t iss,
-                        std::size_t n_sts, std::vector<cf32>& out,
-                        TxWorkspace& ws) const;
-
   /// Build (or reuse) the cached L-SIG / HT-SIG carriers in `ws` for a PSDU
   /// of this size.
   void ensure_sig_carriers(std::size_t psdu_size, TxWorkspace& ws) const;
 
+  /// Empty `chain` and append everything chain `sts` of the fl.nss-chain
+  /// PPDU `fl` sends before its data: L-STF, L-LTF, L-SIG, HT-SIG, HT-STF
+  /// and the HT-LTFs. The SIG carriers must be current (ensure_sig_carriers).
+  void begin_chain(std::size_t sts, const FrameLayout& fl, std::vector<cf32>& chain,
+                   TxWorkspace& ws) const;
+
+  /// Interleave and map space-time stream `iss` of `n_sts`, then append its
+  /// HT data symbols to `out`.
+  void modulate_stream(std::span<const std::uint8_t> stream_bits, std::size_t iss,
+                       std::size_t n_sts, std::vector<cf32>& out,
+                       TxWorkspace& ws) const;
+
   /// Alamouti path: map the single coded stream onto both space-time
-  /// streams (chains[0], chains[1]) pairwise across OFDM symbols.
+  /// streams (ws.chains[0], ws.chains[1]) pairwise across OFDM symbols.
   void modulate_stbc(std::span<const std::uint8_t> stream_bits,
-                     std::vector<cf32>& chain0, std::vector<cf32>& chain1,
                      TxWorkspace& ws) const;
+
+  /// Append HT data symbol `n` of space-time stream `iss` of `n_sts`: its
+  /// 52 data carriers plus the stream's pilots, HT CSD and tone gain.
+  void append_data_symbol(std::span<const cf32> carriers, std::size_t iss,
+                          std::size_t n_sts, std::size_t n, std::vector<cf32>& out,
+                          TxWorkspace& ws) const;
 
   /// Legacy-plan SIG symbol with CSD, appended to `out`.
   void append_legacy_symbol(std::span<const cf32> carriers48,
@@ -117,13 +123,7 @@ class Transmitter {
   std::size_t nsts_;
   mod::Constellation constellation_;
   wifi::StreamParser parser_;
-  std::vector<wifi::Interleaver> interleavers_;  // one per stream
   ofdm::SymbolModulator ht_mod_;
-  // Preamble fields depend only on (sts, nsts): built once per Transmitter.
-  std::vector<std::vector<cf32>> lstf_;    // [sts]
-  std::vector<std::vector<cf32>> lltf_;    // [sts]
-  std::vector<std::vector<cf32>> htstf_;   // [sts]
-  std::vector<std::vector<cf32>> htltfs_;  // [sts]
 };
 
 }  // namespace mimonet::core

@@ -28,6 +28,8 @@ namespace mimonet::core {
 
 /// Transmit-side arena: staging buffers for the encode -> parse ->
 /// interleave -> map -> modulate pipeline plus the per-chain output samples.
+/// Of the PPDU's fields it caches only the SIG carriers; the training
+/// fields come from the process-wide wifi::preamble_fields table.
 struct TxWorkspace {
   std::vector<std::uint8_t> bits;        ///< SERVICE + PSDU + tail, scrambled
   std::vector<std::uint8_t> psdu_bits;   ///< PSDU expanded to bits
@@ -55,21 +57,6 @@ struct TxWorkspace {
   /// The built PPDU, one sample vector per TX chain. Valid after
   /// Transmitter::transmit_into returns.
   std::vector<std::vector<dsp::cf32>> chains;
-
-  /// Cache key for the virtual-stream preamble fields below: the uplink
-  /// "stream iss of n_sts" preamble tables depend only on (iss, n_sts),
-  /// constant across a Monte-Carlo run, so they are built once per key and
-  /// warm transmit_virtual_into calls stay allocation-free.
-  struct VirtualKey {
-    std::size_t iss = static_cast<std::size_t>(-1);
-    std::size_t n_sts = 0;
-    bool operator==(const VirtualKey&) const = default;
-  };
-  VirtualKey virtual_key;
-  std::vector<dsp::cf32> v_lstf;
-  std::vector<dsp::cf32> v_lltf;
-  std::vector<dsp::cf32> v_htstf;
-  std::vector<dsp::cf32> v_htltfs;
 };
 
 /// Multi-user downlink transmit arena: per-user single-stream workspaces for

@@ -138,45 +138,47 @@ void LdpcCode::build_graph() {
 }
 
 std::vector<std::uint8_t> LdpcCode::encode(std::span<const std::uint8_t> info) const {
-  if (info.size() != k()) throw std::invalid_argument("LdpcCode::encode: need k bits");
+  std::vector<std::uint8_t> codeword(n());
+  encode_into(info, codeword);
+  return codeword;
+}
 
-  // lambda_i = A_i x  (per base row, a z-bit block).
-  std::vector<std::vector<std::uint8_t>> lambda(12, std::vector<std::uint8_t>(z_, 0));
-  for (std::size_t r = 0; r < 12; ++r) {
+void LdpcCode::encode_into(std::span<const std::uint8_t> info,
+                           std::span<std::uint8_t> codeword) const {
+  if (info.size() != k()) throw std::invalid_argument("LdpcCode::encode: need k bits");
+  if (codeword.size() != n()) {
+    throw std::invalid_argument("LdpcCode::encode: need an n-bit codeword");
+  }
+  std::copy(info.begin(), info.end(), codeword.begin());
+
+  // Parity block p_j is the z-bit block at codeword[(12 + j) z]; each is
+  // built in place. lambda_r = A_r x is XORed in straight from the info bits.
+  const auto parity = [&](std::size_t j) { return codeword.subspan((12 + j) * z_, z_); };
+  const auto add_lambda = [&](std::size_t r, std::span<std::uint8_t> out) {
     for (std::size_t c = 0; c < 12; ++c) {
       const int s = base_[r][c];
-      if (s < 0) continue;
-      rotate_xor(info.subspan(c * z_, z_), s, lambda[r]);
+      if (s >= 0) rotate_xor(info.subspan(c * z_, z_), s, out);
     }
-  }
+  };
 
-  // p0 = sum_i lambda_i (the T part cancels and the h column sums to I).
-  std::vector<std::uint8_t> p0(z_, 0);
-  for (const auto& l : lambda) {
-    for (std::size_t i = 0; i < z_; ++i) p0[i] ^= l[i];
-  }
+  // p_0 = sum_r lambda_r (the T part cancels and the h column sums to I).
+  const auto p0 = parity(0);
+  std::fill(p0.begin(), p0.end(), 0);
+  for (std::size_t r = 0; r < 12; ++r) add_lambda(r, p0);
 
   // Back-substitution through the dual diagonal:
-  // p_{j+1} = p_j + lambda_j + h_j p0, with p_0meaning the first T block.
-  std::vector<std::vector<std::uint8_t>> p(12, std::vector<std::uint8_t>(z_, 0));
-  p[0] = p0;
-  std::vector<std::uint8_t> acc(z_, 0);
+  // p_{j+1} = lambda_j + h_j p_0, plus p_j for j > 0.
   for (std::size_t j = 0; j + 1 < 12; ++j) {
-    std::fill(acc.begin(), acc.end(), 0);
-    for (std::size_t i = 0; i < z_; ++i) acc[i] = lambda[j][i];
-    if (base_[j][12] >= 0) rotate_xor(p0, base_[j][12], acc);
+    const auto next = parity(j + 1);
     if (j > 0) {
-      for (std::size_t i = 0; i < z_; ++i) acc[i] ^= p[j][i];
+      const auto prev = parity(j);
+      std::copy(prev.begin(), prev.end(), next.begin());
+    } else {
+      std::fill(next.begin(), next.end(), 0);
     }
-    p[j + 1] = acc;
+    add_lambda(j, next);
+    if (base_[j][12] >= 0) rotate_xor(p0, base_[j][12], next);
   }
-
-  std::vector<std::uint8_t> codeword(n());
-  std::copy(info.begin(), info.end(), codeword.begin());
-  for (std::size_t j = 0; j < 12; ++j) {
-    std::copy(p[j].begin(), p[j].end(), codeword.begin() + static_cast<long>((12 + j) * z_));
-  }
-  return codeword;
 }
 
 bool LdpcCode::check(std::span<const std::uint8_t> codeword) const {

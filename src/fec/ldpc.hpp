@@ -30,6 +30,11 @@ class LdpcCode {
   [[nodiscard]] std::vector<std::uint8_t> encode(
       std::span<const std::uint8_t> info) const;
 
+  /// encode() into caller storage: `codeword` receives the n bits.
+  /// Allocates nothing.
+  void encode_into(std::span<const std::uint8_t> info,
+                   std::span<std::uint8_t> codeword) const;
+
   /// Message buffers of decode_into, reused across codewords.
   struct Scratch {
     std::vector<float> r_msg;  ///< check -> variable message per edge

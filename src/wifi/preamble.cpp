@@ -1,5 +1,6 @@
 #include "wifi/preamble.hpp"
 
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -195,6 +196,26 @@ std::vector<cf32> make_htltfs(std::size_t iss, std::size_t nss) {
     out.insert(out.end(), sym.begin(), sym.end());
   }
   return out;
+}
+
+const PreambleFields& preamble_fields(std::size_t sts, std::size_t n_sts) {
+  if (sts >= n_sts || n_sts > 4) {
+    throw std::invalid_argument("preamble_fields: bad chain index");
+  }
+  // The chains of n_sts = 1, 2, 3, 4 in order: n_sts's start at
+  // n_sts (n_sts - 1) / 2.
+  static const std::array<PreambleFields, 10> table = [] {
+    std::array<PreambleFields, 10> t;
+    std::size_t i = 0;
+    for (std::size_t n = 1; n <= 4; ++n) {
+      for (std::size_t s = 0; s < n; ++s) {
+        t[i++] = {make_lstf(s, n), make_lltf(s, n), make_htstf(s, n),
+                  make_htltfs(s, n)};
+      }
+    }
+    return t;
+  }();
+  return table[n_sts * (n_sts - 1) / 2 + sts];
 }
 
 }  // namespace mimonet::wifi

@@ -77,4 +77,19 @@ void apply_cyclic_shift(std::span<cf32> grid, int shift_samples) noexcept;
 /// each) for stream `iss`, including P-matrix signs and HT CSD.
 [[nodiscard]] std::vector<cf32> make_htltfs(std::size_t iss, std::size_t nss);
 
+/// The training fields chain `sts` of an `n_sts`-chain PPDU sends: make_lstf,
+/// make_lltf, make_htstf and make_htltfs of (sts, n_sts).
+struct PreambleFields {
+  std::vector<cf32> lstf;
+  std::vector<cf32> lltf;
+  std::vector<cf32> htstf;
+  std::vector<cf32> htltfs;
+};
+
+/// The fields of chain `sts` of `n_sts` (1..4) from an immutable
+/// process-wide table, built on first use for every chain of every n_sts;
+/// safe to read concurrently.
+[[nodiscard]] const PreambleFields& preamble_fields(std::size_t sts,
+                                                   std::size_t n_sts);
+
 }  // namespace mimonet::wifi

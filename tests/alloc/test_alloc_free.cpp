@@ -391,6 +391,46 @@ TEST(AllocFree, FarmSteadyStateBaseStationRun) {
   EXPECT_EQ(per_stream[1].delivered, 6U);
 }
 
+// Transmitter::transmit_into: once one call has sized the workspace and
+// filled the process-wide tables, a warm call with the same PSDU size
+// allocates nothing, whatever the coding: spatial multiplexing, STBC, LDPC
+// (6 codewords) and FEC off.
+TEST(AllocFree, TransmitSteadyState) {
+  struct TxCase {
+    const char* name;
+    unsigned mcs;
+    bool stbc;
+    core::FecType fec_type;
+    bool fec_enabled;
+  };
+  constexpr std::array<TxCase, 4> kCases{{
+      {"spatial multiplexing", 12, false, core::FecType::kBcc, true},
+      {"stbc", 3, true, core::FecType::kBcc, true},
+      {"ldpc", 3, false, core::FecType::kLdpc, true},
+      {"fec off", 10, false, core::FecType::kBcc, false},
+  }};
+  const std::vector<std::uint8_t> psdu(228, 0x6B);
+  for (const TxCase& c : kCases) {
+    SCOPED_TRACE(c.name);
+    core::PhyConfig phy;
+    phy.mcs = c.mcs;
+    phy.stbc = c.stbc;
+    phy.fec_type = c.fec_type;
+    phy.fec_enabled = c.fec_enabled;
+    const core::Transmitter tx(phy);
+    core::TxWorkspace ws;
+    tx.transmit_into(psdu, ws);
+    const auto reference = ws.chains;
+    {
+      const AllocGuard guard;
+      for (int i = 0; i < 4; ++i) tx.transmit_into(psdu, ws);
+      EXPECT_EQ(AllocGuard::count(), 0U)
+          << "steady-state Transmitter::transmit_into allocated";
+    }
+    EXPECT_EQ(ws.chains, reference);
+  }
+}
+
 // The MU downlink mixer shares the single-user contract: once the per-user
 // PPDU scratch and the mixed chains are sized, a warm transmit_mu_into with
 // a same-shape precoder performs zero heap allocations.
