@@ -24,6 +24,31 @@ channel::ChannelConfig seeded_channel(const LinkConfig& cfg) {
   return ch;
 }
 
+void build_packet_psdu(std::uint64_t pkt_seed, std::size_t p, std::size_t user,
+                       std::size_t payload_bytes, std::vector<std::uint8_t>& payload,
+                       std::vector<std::uint8_t>& psdu) {
+  wifi::MacHeader hdr;
+  hdr.addr1 = {0x02, 0x11, 0x22, 0x33, 0x44, static_cast<std::uint8_t>(0x55 + user)};
+  hdr.addr2 = {0x02, 0xAA, 0xBB, 0xCC, 0xDD, 0xEE};
+  hdr.addr3 = hdr.addr1;
+  hdr.sequence_control = static_cast<std::uint16_t>((p & 0xFFFU) << 4U);
+
+  payload.resize(payload_bytes);
+  dsp::BitSource(pkt_seed * 0x2545F4914F6CDD1DULL + 7 + kGolden * user)
+      .bytes_into(payload);
+  wifi::build_psdu_into(hdr, payload, psdu);
+}
+
+std::size_t bit_errors(std::span<const std::uint8_t> sent,
+                       std::span<const std::uint8_t> got) noexcept {
+  std::size_t errors = 0;
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    errors += static_cast<std::size_t>(
+        std::popcount(static_cast<unsigned>(sent[i] ^ got[i])));
+  }
+  return errors;
+}
+
 void account_packet(LinkResult& res, const RxWorkspace& rws, bool detected,
                     std::span<const std::uint8_t> sent_psdu,
                     std::size_t payload_bytes, double airtime,
@@ -43,13 +68,7 @@ void account_packet(LinkResult& res, const RxWorkspace& rws, bool detected,
   res.throughput.add_packet(ok ? payload_bytes : 0, airtime);
 
   if (rx_pkt.htsig_ok && rx_pkt.psdu.size() == sent_psdu.size()) {
-    // Bit errors counted a byte at a time: the popcount of each XOR.
-    std::size_t errors = 0;
-    for (std::size_t i = 0; i < sent_psdu.size(); ++i) {
-      errors += static_cast<std::size_t>(
-          std::popcount(static_cast<unsigned>(sent_psdu[i] ^ rx_pkt.psdu[i])));
-    }
-    res.ber.add_counts(errors, sent_psdu.size() * 8);
+    res.ber.add_counts(bit_errors(sent_psdu, rx_pkt.psdu), sent_psdu.size() * 8);
   } else if (rx_pkt.htsig_ok) {
     // Length corrupted: count every PSDU bit as errored.
     res.ber.add_counts(sent_psdu.size() * 8, sent_psdu.size() * 8);
@@ -100,16 +119,8 @@ class LinkEngine {
     // the channel's own seed keeps common-random-number comparisons working.
     chan_.reseed(cfg_.channel.seed * kGolden + pkt_seed);
 
-    wifi::MacHeader hdr;
-    hdr.addr1 = {0x02, 0x11, 0x22, 0x33, 0x44, 0x55};
-    hdr.addr2 = {0x02, 0xAA, 0xBB, 0xCC, 0xDD, 0xEE};
-    hdr.addr3 = hdr.addr1;
-    hdr.sequence_control = static_cast<std::uint16_t>((p & 0xFFFU) << 4U);
-
-    payload_.resize(cfg_.psdu_payload_bytes);
-    dsp::BitSource(pkt_seed * 0x2545F4914F6CDD1DULL + 7).bytes_into(payload_);
-    wifi::build_psdu_into(hdr, payload_, psdu_);
-
+    detail::build_packet_psdu(pkt_seed, p, /*user=*/0, cfg_.psdu_payload_bytes,
+                              payload_, psdu_);
     tx_.transmit_into(psdu_, tws_);
     tx_spans_.assign(tws_.chains.begin(), tws_.chains.end());
     chan_.transmit_into(tx_spans_, cws_);

@@ -15,12 +15,9 @@
 #include "core/mu_receiver.hpp"
 #include "core/workspace.hpp"
 #include "dsp/fft_cache.hpp"
-#include "dsp/rng.hpp"
 #include "eq/precoder.hpp"
 #include "ofdm/subcarriers.hpp"
-#include "wifi/bits.hpp"
 #include "wifi/preamble.hpp"
-#include "wifi/psdu.hpp"
 
 namespace mimonet::core {
 
@@ -37,6 +34,8 @@ void MuLinkResult::merge(const MuLinkResult& other) {
 namespace {
 
 using detail::account_packet;
+using detail::bit_errors;
+using detail::build_packet_psdu;
 using detail::kGolden;
 using detail::packet_seed;
 
@@ -58,25 +57,6 @@ struct MuPacketWork {
   std::vector<LinkResult> per_user;
 };
 
-/// Per-user MAC frame for packet p: user 0's frame is byte-identical to the
-/// single-user engine's (same header, same payload stream), users 1.. vary
-/// the destination address and the payload seed.
-std::vector<std::uint8_t> build_user_psdu(const MuLinkConfig& cfg,
-                                          std::uint64_t pkt_seed,
-                                          std::size_t p, std::size_t u) {
-  wifi::MacHeader hdr;
-  hdr.addr1 = {0x02, 0x11, 0x22, 0x33, 0x44,
-               static_cast<std::uint8_t>(0x55 + u)};
-  hdr.addr2 = {0x02, 0xAA, 0xBB, 0xCC, 0xDD, 0xEE};
-  hdr.addr3 = hdr.addr1;
-  hdr.sequence_control = static_cast<std::uint16_t>((p & 0xFFFU) << 4U);
-
-  dsp::BitSource payload_src(pkt_seed * 0x2545F4914F6CDD1DULL + 7 +
-                             kGolden * u);
-  const auto payload = payload_src.bytes(cfg.user.psdu_payload_bytes);
-  return wifi::build_psdu(hdr, payload);
-}
-
 /// Genie CSI feedback: run the base station's HT-LTF block (one chain per
 /// BS antenna) through a user's channel noiselessly and LS-estimate the
 /// flat 1 x n_bs row back out. The per-stream CSD ramp is compensated and
@@ -92,7 +72,7 @@ class CsiSounder {
         map_(ofdm::CarrierPlan::kHt) {
     chains_.reserve(n_bs);
     for (std::size_t s = 0; s < n_bs; ++s) {
-      chains_.push_back(wifi::make_htltfs(s, n_bs));
+      chains_.push_back(wifi::preamble_fields(s, n_bs).htltfs);
     }
     grids_.assign(1, std::vector<std::vector<cf32>>(
                          n_ltf_, std::vector<cf32>(ofdm::kFftSize)));
@@ -162,12 +142,12 @@ class DownlinkEngine {
     const std::uint64_t pkt_seed = packet_seed(cfg_.user.seed, p);
     chan_.reseed(cfg_.user.channel.seed * kGolden + pkt_seed);
 
-    psdus_.clear();
-    psdu_spans_.clear();
+    psdus_.resize(n_users_);
     for (std::size_t u = 0; u < n_users_; ++u) {
-      psdus_.push_back(build_user_psdu(cfg_, pkt_seed, p, u));
+      build_packet_psdu(pkt_seed, p, u, cfg_.user.psdu_payload_bytes, payload_,
+                        psdus_[u]);
     }
-    for (const auto& psdu : psdus_) psdu_spans_.emplace_back(psdu);
+    psdu_spans_.assign(psdus_.begin(), psdus_.end());
 
     // CSI lifecycle: the sounding waveform pins each user's snapshot, then
     // advance_csi ages the air by the configured staleness — the precoder
@@ -217,6 +197,7 @@ class DownlinkEngine {
   CsiSounder sounder_;
   MuTxWorkspace mtw_;
   RxWorkspace rws_;
+  std::vector<std::uint8_t> payload_;
   std::vector<std::vector<std::uint8_t>> psdus_;
   std::vector<std::span<const std::uint8_t>> psdu_spans_;
   std::vector<std::array<cf32, 4>> rows_;
@@ -239,9 +220,10 @@ class UplinkEngine {
     const std::uint64_t pkt_seed = packet_seed(cfg_.user.seed, p);
     chan_.reseed(cfg_.user.channel.seed * kGolden + pkt_seed);
 
-    psdus_.clear();
+    psdus_.resize(n_users_);
     for (std::size_t u = 0; u < n_users_; ++u) {
-      psdus_.push_back(build_user_psdu(cfg_, pkt_seed, p, u));
+      build_packet_psdu(pkt_seed, p, u, cfg_.user.psdu_payload_bytes, payload_,
+                        psdus_[u]);
       tx_.transmit_virtual_into(psdus_[u], u, n_users_, utws_[u]);
       chains_[u].resize(1);
       chains_[u][0] = utws_[u].chains[0];
@@ -287,9 +269,7 @@ class UplinkEngine {
     res.per.add(up.fcs_ok);
     res.throughput.add_packet(up.fcs_ok ? payload_bytes : 0, airtime);
     if (up.psdu.size() == sent.size()) {
-      const auto sent_bits = wifi::bytes_to_bits(sent);
-      const auto got_bits = wifi::bytes_to_bits(up.psdu);
-      res.ber.add(sent_bits, got_bits);
+      res.ber.add_counts(bit_errors(sent, up.psdu), sent.size() * 8);
     } else {
       res.ber.add_counts(sent.size() * 8, sent.size() * 8);
     }
@@ -311,6 +291,7 @@ class UplinkEngine {
   std::vector<TxWorkspace> utws_;
   std::vector<std::vector<std::vector<cf32>>> chains_;  // [u][1][t]
   MuRxWorkspace mws_;
+  std::vector<std::uint8_t> payload_;
   std::vector<std::vector<std::uint8_t>> psdus_;
 };
 
