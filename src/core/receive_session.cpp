@@ -52,13 +52,10 @@ ReceiverFarm& ReceiveSession::farm() {
 
 bool ReceiveSession::receive_one(
     std::span<const std::span<const cf32>> capture) {
-  const bool got = engine_.receiver().receive(capture, *ws_);
-  const RxPacket& pkt = ws_->packet;
+  (void)engine_.receiver().receive(capture, *ws_);
   stats_.samples_scanned += capture.empty() ? 0 : capture[0].size();
-  stats_.errors.add(pkt.error);
-  if (pkt.htsig_ok) ++stats_.frames;
-  if (got) ++stats_.delivered;
-  return got;
+  fold_receive(stats_, ws_->packet);
+  return ws_->packet.fcs_ok;
 }
 
 bool ReceiveSession::receive_one(

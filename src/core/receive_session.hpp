@@ -111,9 +111,10 @@ class ReceiveSession {
 
   // --- one-shot receive (the Receiver entry point) ----------------------
 
-  /// Decode the first packet of a capture. Returns false when nothing was
-  /// delivered; packet() holds the full outcome (including the RxError
-  /// classification) either way. The attempt is folded into stats().
+  /// Decode the first packet of a capture. Returns true when a frame was
+  /// delivered (its FCS passed); packet() holds the full outcome (including
+  /// the RxError classification) either way. The attempt is folded into
+  /// stats() as the scan folds each candidate.
   [[nodiscard]] bool receive_one(std::span<const std::span<const cf32>> capture);
   /// Staging convenience for vector-of-vector captures.
   [[nodiscard]] bool receive_one(const std::vector<std::vector<cf32>>& capture);

@@ -24,6 +24,16 @@ StreamReceiver::StreamReceiver(PhyConfig cfg, std::size_t nrx,
   // Receiver ctor just built from scan_mode().
 }
 
+void fold_receive(StreamStats& stats, const RxPacket& pkt) noexcept {
+  stats.errors.add(pkt.error);
+  if (!pkt.htsig_ok) return;
+  ++stats.frames;
+  if (pkt.fcs_ok) ++stats.delivered;
+  for (std::size_t s = 0; s < pkt.n_stream_sinr; ++s) {
+    stats.stream_sinr_db[s].add(pkt.stream_sinr_db[s]);
+  }
+}
+
 StreamRecord& StreamRecord::operator=(const StreamEvent& ev) {
   offset = ev.offset;
   error = ev.error;
@@ -102,16 +112,9 @@ void StreamReceiver::scan_window(std::span<const std::span<const cf32>> capture,
     cur.entered = cur.entered || frame_start >= window.own_begin;
     const bool ours = cur.entered;
     if (ours) {
-      stats.errors.add(err);
+      fold_receive(stats, pkt);
       on_event(StreamEvent{frame_start, err, &pkt});
-      if (pkt.htsig_ok) {
-        ++stats.frames;
-        ++cur.frames;
-        if (pkt.fcs_ok) ++stats.delivered;
-        for (std::size_t s = 0; s < pkt.n_stream_sinr; ++s) {
-          stats.stream_sinr_db[s].add(pkt.stream_sinr_db[s]);
-        }
-      }
+      if (pkt.htsig_ok) ++cur.frames;
     }
 
     // The HT-SIG-announced extent, when the frame corroborates it (FCS, or

@@ -31,6 +31,12 @@ struct RxWorkspace;  // core/workspace.hpp
 /// base-station per-user stream) shares one mergeable type.
 using StreamStats = metrics::StreamStats;
 
+/// Fold one receive attempt into `stats`: its classification and, when its
+/// HT-SIG decoded, one frame, its delivery (fcs_ok) and its per-stream
+/// post-eq SINR. The scan and ReceiveSession::receive_one both count
+/// through this.
+void fold_receive(StreamStats& stats, const RxPacket& pkt) noexcept;
+
 /// Scan-loop policy knobs. Follows the session-config conventions
 /// (aggregate with defaults + fluent builder, see DESIGN.md "API
 /// conventions"): StreamReceiverConfig::make().resync_advance(64).build().

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <mutex>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "channel/mimo_channel.hpp"
@@ -492,6 +493,43 @@ TEST(ReceiveSession, ReceiveOneFoldsStatsAndExposesPacket) {
   EXPECT_EQ(session.stats().frames, 1U);
   EXPECT_EQ(session.stats().errors.count(metrics::RxError::kOk), 1U);
   EXPECT_EQ(session.stats().samples_scanned, s.capture[0].size());
+  EXPECT_EQ(session.stats().stream_sinr_db[0].count(), 1U);
+
+  // SISO MCS 3 at 30 dB: a frame with one payload byte flipped after its
+  // FCS was computed, and a clean frame cut 600 samples short. Each is one
+  // frame that is not delivered, as receive_all counts the same capture.
+  core::PhyConfig phy;
+  phy.mcs = 3;
+  const core::Transmitter tx(phy);
+  const auto air = [&tx](const std::vector<std::uint8_t>& psdu) {
+    channel::ChannelConfig ccfg;
+    ccfg.snr_db = 30.0;
+    ccfg.timing_pad = 300;
+    ccfg.tail_pad = 200;
+    return channel::MimoChannel(ccfg).transmit(tx.transmit(psdu));
+  };
+  const auto psdu =
+      wifi::build_psdu(wifi::MacHeader{}, std::vector<std::uint8_t>(200, 0x3C));
+  auto flipped = psdu;
+  flipped[40] ^= 0x08U;
+  auto cut = air(psdu);
+  for (auto& a : cut) a.resize(a.size() - 600);
+  const std::pair<std::vector<std::vector<cf32>>, metrics::RxError> cases[] = {
+      {air(flipped), metrics::RxError::kFcsFail},
+      {cut, metrics::RxError::kTruncated}};
+  for (const auto& [capture, err] : cases) {
+    SCOPED_TRACE(metrics::rx_error_name(err));
+    core::ReceiveSession one(phy, 1);
+    EXPECT_FALSE(one.receive_one(capture));
+    EXPECT_EQ(one.packet().error, err);
+    EXPECT_EQ(one.stats().errors.count(err), 1U);
+    EXPECT_EQ(one.stats().frames, 1U);
+    EXPECT_EQ(one.stats().delivered, 0U);
+    core::ReceiveSession all(phy, 1);
+    EXPECT_EQ(all.receive_all(capture).size(), 1U);
+    EXPECT_EQ(all.stats().frames, one.stats().frames);
+    EXPECT_EQ(all.stats().delivered, one.stats().delivered);
+  }
 }
 
 TEST(ReceiveSession, ScanMatchesEngineAndAccumulates) {
