@@ -128,7 +128,7 @@ TEST_F(GoldenTransmit, VirtualStreams) {
   Digest d;
   for (std::size_t n_sts = 1; n_sts <= 4; ++n_sts) {
     for (std::size_t iss = 0; iss < n_sts; ++iss) {
-      core::PhyConfig phy;
+      core::PhyConfig phy;  // 1-stream MCS 1, 2-3, 4-5 or 6-7 by n_sts
       phy.mcs = static_cast<unsigned>(2 * n_sts - 1 - iss % 2);
       const core::Transmitter tx(phy);
       const auto psdu = psdu_of(150 + 40 * iss, 300 + 10 * n_sts + iss);
